@@ -4,7 +4,7 @@
 // Shared setup for the per-table benchmark binaries. Each binary regenerates
 // one table of the paper; all of them accept:
 //   --sf=<double>       scale factor (default 0.01; the paper used 0.2)
-//   --seed=<uint64>     dbgen seed
+//   --seed=<n>          dbgen seed (integer >= 0)
 //   --json              machine-readable results: one JSON document on
 //                       stdout, the human report rerouted to stderr
 //   --trace-json=<path> write a Chrome trace_event JSON of the bench's
@@ -12,15 +12,18 @@
 //   --out=<path>        write the same JSON document (schema-versioned) to a
 //                       file, independent of --json — the perf-trajectory
 //                       harness input (tools/bench_compare.py)
-// and print a paper-vs-measured comparison. Absolute paper numbers were
-// measured on 1996 hardware at SF=0.2; the *shape* (ratios, orderings,
-// crossovers) is the reproduction target — see EXPERIMENTS.md.
+// and print a paper-vs-measured comparison. An unknown flag or a malformed
+// value prints the usage line and exits with status 2. Absolute paper
+// numbers were measured on 1996 hardware at SF=0.2; the *shape* (ratios,
+// orderings, crossovers) is the reproduction target — see EXPERIMENTS.md.
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -62,9 +65,21 @@ struct Flags {
   int saved_stdout = -1;    ///< original stdout fd while json reroutes it
 };
 
+/// Parses all of `text` as a base-10 integer; false on an empty string,
+/// trailing junk or overflow.
+inline bool ParseInt(const char* text, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
 /// A bench's extra flags, registered with the shared parser so every binary
 /// spells options identically (--flag for booleans, --flag=<v> otherwise),
-/// shows them in --help, and rejects unknown flags the same way:
+/// shows them in --help, and rejects unknown flags and malformed values the
+/// same way (usage line on stderr, exit status 2):
 ///
 ///   bench::FlagSet extras;
 ///   extras.Bool("st05", &st05);
@@ -82,8 +97,9 @@ class FlagSet {
     entries_.push_back({name, nullptr, nullptr, target});
   }
 
-  /// Consumes `arg` if it matches a registered flag.
-  bool TryParse(const char* arg) {
+  /// Consumes `arg` if it matches a registered flag; sets `*bad_value` when
+  /// the flag matched but its value does not parse.
+  bool TryParse(const char* arg, bool* bad_value) {
     if (std::strncmp(arg, "--", 2) != 0) return false;
     for (Entry& e : entries_) {
       size_t n = e.name.size();
@@ -98,7 +114,7 @@ class FlagSet {
         continue;
       const char* value = arg + 2 + n + 1;
       if (e.int_target != nullptr) {
-        *e.int_target = std::strtoll(value, nullptr, 10);
+        *bad_value = !ParseInt(value, e.int_target);
       } else {
         *e.str_target = value;
       }
@@ -125,13 +141,40 @@ class FlagSet {
   std::vector<Entry> entries_;
 };
 
+inline std::string Usage(const char* argv0, const FlagSet* extras) {
+  return str::Format(
+      "usage: %s [--sf=<double>] [--seed=<n>] [--json] "
+      "[--trace-json=<path>] [--out=<path>] [--engine=row|columnar]%s",
+      argv0, extras != nullptr ? extras->Usage().c_str() : "");
+}
+
+/// Prints `what arg` and the usage line on stderr, then exits with status 2.
+[[noreturn]] inline void UsageError(const char* argv0, const FlagSet* extras,
+                                    const char* what, const char* arg) {
+  std::fprintf(stderr, "%s: %s %s\n%s\n", argv0, what, arg,
+               Usage(argv0, extras).c_str());
+  std::exit(2);
+}
+
 inline Flags ParseFlags(int argc, char** argv, FlagSet* extras = nullptr) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
+    bool bad_value = false;
     if (std::strncmp(argv[i], "--sf=", 5) == 0) {
-      f.sf = std::strtod(argv[i] + 5, nullptr);
+      const char* text = argv[i] + 5;
+      char* end = nullptr;
+      f.sf = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(f.sf) || f.sf <= 0) {
+        UsageError(argv[0], extras, "--sf needs a finite number > 0, got",
+                   argv[i]);
+      }
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      f.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      int64_t seed = 0;
+      if (!ParseInt(argv[i] + 7, &seed) || seed < 0) {
+        UsageError(argv[0], extras, "--seed needs an integer >= 0, got",
+                   argv[i]);
+      }
+      f.seed = static_cast<uint64_t>(seed);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       f.json = true;
     } else if (std::strncmp(argv[i], "--trace-json=", 13) == 0) {
@@ -141,16 +184,14 @@ inline Flags ParseFlags(int argc, char** argv, FlagSet* extras = nullptr) {
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
       f.engine = argv[i] + 9;
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--sf=<double>] [--seed=<n>] [--json] "
-          "[--trace-json=<path>] [--out=<path>] [--engine=row|columnar]%s\n",
-          argv[0], extras != nullptr ? extras->Usage().c_str() : "");
+      std::printf("%s\n", Usage(argv[0], extras).c_str());
       std::exit(0);
-    } else if (extras != nullptr && extras->TryParse(argv[i])) {
-      // consumed by the bench's registered extras
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "warning: unknown flag %s (see --help)\n",
-                   argv[i]);
+    } else if (extras != nullptr && extras->TryParse(argv[i], &bad_value)) {
+      if (bad_value) {
+        UsageError(argv[0], extras, "malformed value in", argv[i]);
+      }
+    } else {
+      UsageError(argv[0], extras, "unknown flag", argv[i]);
     }
   }
   if (f.json) {
@@ -293,8 +334,10 @@ inline std::unique_ptr<rdbms::Database> BuildRdbmsSystem(
 }
 
 /// A complete application-system installation with the SAP-mapped TPC-D
-/// schema loaded (fast path). `convert_konv` models the 3.0 conversion;
-/// `drop_shipdate_index` models the paper's 3.0 tuning step.
+/// schema loaded (fast path) and analyzed. `convert_konv` models the 3.0
+/// conversion; `drop_shipdate_index` models the paper's 3.0 tuning step.
+/// FastLoadAll analyzes every table and the KONV conversion re-analyzes
+/// KONV, so no further ANALYZE is needed here.
 inline std::unique_ptr<appsys::R3System> BuildSapSystem(
     tpcd::DbGen* gen, appsys::Release release, bool convert_konv,
     bool drop_shipdate_index = false, size_t table_buffer_bytes = 0,
@@ -319,7 +362,6 @@ inline std::unique_ptr<appsys::R3System> BuildSapSystem(
   if (drop_shipdate_index) {
     BENCH_CHECK_OK(sys->db.catalog()->DropIndex("VBEP~E"));
   }
-  BENCH_CHECK_OK(sys->db.Analyze());
   return sys;
 }
 

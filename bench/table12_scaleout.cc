@@ -37,18 +37,23 @@ using appsys::dispatch::LandscapeOptions;
 using appsys::dispatch::SystemLandscape;
 using appsys::dispatch::WpClass;
 
-std::vector<int> ParseIntList(const std::string& s,
-                              const std::vector<int>& fallback) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < s.size()) {
+/// Replaces `*out` with the comma-separated positive integers in `s`; an
+/// empty `s` keeps the default. False on any malformed element.
+bool ParseIntList(const std::string& s, std::vector<int>* out) {
+  if (s.empty()) return true;
+  out->clear();
+  for (size_t pos = 0; pos <= s.size();) {
     size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    int v = std::atoi(s.substr(pos, comma - pos).c_str());
-    if (v > 0) out.push_back(v);
+    int64_t v = 0;
+    if (!ParseInt(s.substr(pos, comma - pos).c_str(), &v) || v <= 0 ||
+        v > INT32_MAX) {
+      return false;
+    }
+    out->push_back(static_cast<int>(v));
     pos = comma + 1;
   }
-  return out.empty() ? fallback : out;
+  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -66,8 +71,16 @@ int Run(int argc, char** argv) {
   extras.Int("streams", &streams);
   extras.Bool("st05", &st05);
   Flags flags = ParseFlags(argc, argv, &extras);
-  std::vector<int> user_counts = ParseIntList(users_arg, {10, 200, 1000});
-  std::vector<int> server_counts = ParseIntList(servers_arg, {1, 2});
+  std::vector<int> user_counts = {10, 200, 1000};
+  std::vector<int> server_counts = {1, 2};
+  if (!ParseIntList(users_arg, &user_counts)) {
+    UsageError(argv[0], &extras, "malformed --users list:",
+               users_arg.c_str());
+  }
+  if (!ParseIntList(servers_arg, &server_counts)) {
+    UsageError(argv[0], &extras, "malformed --servers list:",
+               servers_arg.c_str());
+  }
 
   PrintHeader("Table 12: dialog scale-out (Section 5 user benchmark)",
               flags);

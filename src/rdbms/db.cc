@@ -49,35 +49,23 @@ Database::Database(SimClock* clock, DatabaseOptions options)
 
 Status Database::Begin() {
   undo_log_.clear();
-  R3_RETURN_IF_ERROR(DrainDeferredIndexDeletes(/*force=*/false));
   return txn_mgr_->Begin().status();
 }
 
 Status Database::Commit() {
   R3_RETURN_IF_ERROR(txn_mgr_->Commit());
   undo_log_.clear();
-  // Commit may have advanced the horizon past our (and others') deletes.
-  return DrainDeferredIndexDeletes(/*force=*/false);
+  return Status::OK();
 }
 
 Status Database::Rollback() {
   if (!txn_mgr_->in_txn()) {
     return Status::InvalidArgument("no active transaction");
   }
-  const uint64_t aborting = txn_mgr_->active_txn_id();
   for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
     R3_RETURN_IF_ERROR(UndoOne(*it));
   }
   undo_log_.clear();
-  // Undone deletes restored their rows in place; the B-tree entries they
-  // had queued for deferred removal are live again and must stay.
-  deferred_index_deletes_.erase(
-      std::remove_if(deferred_index_deletes_.begin(),
-                     deferred_index_deletes_.end(),
-                     [aborting](const DeferredIndexDelete& d) {
-                       return d.xmax == aborting;
-                     }),
-      deferred_index_deletes_.end());
   R3_RETURN_IF_ERROR(txn_mgr_->FinishRollback());
   // A reused connection must not bleed per-statement state across the
   // aborted boundary: advance the operator-stats epoch (operators of a
@@ -104,9 +92,6 @@ Status Database::Checkpoint() { return txn_mgr_->Checkpoint(); }
 
 Status Database::SimulateCrash() {
   undo_log_.clear();
-  // Pending B-tree cleanups die with the process; recovery rebuilds the
-  // indexes from the surviving committed heap, which has no ghost entries.
-  deferred_index_deletes_.clear();
   txn_mgr_->ResetAfterCrash();
   R3_RETURN_IF_ERROR(pool_->DropAllNoFlush());
   if (txn_mgr_->wal() != nullptr) txn_mgr_->wal()->DropUnflushed();
@@ -174,28 +159,6 @@ Status Database::LogEngineOp(TableInfo* table, txn::LogType type, Rid rid,
   return txn_mgr_->LogHeapOp(type, table->storage->file_id(), rid, rec);
 }
 
-Status Database::DrainDeferredIndexDeletes(bool force) {
-  if (deferred_index_deletes_.empty()) return Status::OK();
-  // An entry is removable once every live snapshot sees its deletion, i.e.
-  // the deleting txn committed below the horizon. The deleter's own
-  // in-flight txn keeps the horizon at or below its id, so uncommitted
-  // deletes never drain.
-  const uint64_t horizon =
-      force ? UINT64_MAX : txn_mgr_->mvcc()->Horizon();
-  size_t kept = 0;
-  for (size_t i = 0; i < deferred_index_deletes_.size(); ++i) {
-    DeferredIndexDelete& d = deferred_index_deletes_[i];
-    if (d.xmax >= horizon) {
-      if (kept != i) deferred_index_deletes_[kept] = std::move(d);
-      ++kept;
-      continue;
-    }
-    R3_RETURN_IF_ERROR(d.index->btree->Delete(d.key, d.rid_pack));
-  }
-  deferred_index_deletes_.resize(kept);
-  return Status::OK();
-}
-
 Status Database::UndoOne(const UndoEntry& e) {
   TableInfo* table = e.table;
   switch (e.kind) {
@@ -215,14 +178,9 @@ Status Database::UndoOne(const UndoEntry& e) {
       std::string rec;
       R3_RETURN_IF_ERROR(SerializeRow(table->schema, e.row, &rec));
       R3_RETURN_IF_ERROR(table->storage->InsertAt(e.rid, rec));
-      // A deferred-cleanup delete never removed its B-tree entries
-      // (Rollback purges them from the drain queue); re-inserting here
-      // would duplicate them.
-      if (!e.deferred_index) {
-        for (IndexInfo* idx : table->indexes) {
-          R3_RETURN_IF_ERROR(idx->btree->Insert(IndexKeyForRow(*idx, e.row),
-                                                e.rid.Pack(), false));
-        }
+      for (IndexInfo* idx : table->indexes) {
+        R3_RETURN_IF_ERROR(idx->btree->Insert(IndexKeyForRow(*idx, e.row),
+                                              e.rid.Pack(), false));
       }
       table->row_count += 1;
       table->data_bytes += rec.size();
@@ -389,9 +347,6 @@ Status Database::Execute(const std::string& sql,
       write_id_ = 0;
       txn_mgr_->FinishAutocommitWrite(wid, /*committed=*/true);
       R3_RETURN_IF_ERROR(st);
-      // An autocommit delete is committed now; with no older snapshot
-      // alive its deferred index entries drain immediately.
-      R3_RETURN_IF_ERROR(DrainDeferredIndexDeletes(/*force=*/false));
       break;
     }
     case Statement::Kind::kUpdate: {
@@ -422,27 +377,6 @@ Status Database::Execute(const std::string& sql,
       break;
     case Statement::Kind::kDrop:
       prepared_.clear();  // plans may reference the dropped object
-      // Pending deferred index cleanups that point into the dropped object
-      // would dangle; they die with it.
-      if (!deferred_index_deletes_.empty()) {
-        std::unordered_set<const IndexInfo*> doomed;
-        if (stmt.drop->target == DropStmt::Target::kTable) {
-          auto t = catalog_->GetTable(stmt.drop->name);
-          if (t.ok()) {
-            for (const IndexInfo* idx : t.value()->indexes) doomed.insert(idx);
-          }
-        }
-        const std::string& dropped = stmt.drop->name;
-        auto is_doomed = [&](const DeferredIndexDelete& d) {
-          return stmt.drop->target == DropStmt::Target::kIndex
-                     ? d.index->name == dropped
-                     : doomed.count(d.index) != 0;
-        };
-        deferred_index_deletes_.erase(
-            std::remove_if(deferred_index_deletes_.begin(),
-                           deferred_index_deletes_.end(), is_doomed),
-            deferred_index_deletes_.end());
-      }
       switch (stmt.drop->target) {
         case DropStmt::Target::kTable:
           R3_RETURN_IF_ERROR(catalog_->DropTable(stmt.drop->name));
@@ -883,21 +817,9 @@ Status Database::DeleteRowAt(TableInfo* table, Rid rid, const Row& row) {
     txn_mgr_->mvcc()->OnDelete(table->storage->file_id(), rid, write_id_, pre);
   }
   R3_RETURN_IF_ERROR(LogEngineOp(table, txn::LogType::kHeapDelete, rid, {}));
-  const bool defer_index = options_.mvcc_index_ghosts && write_id_ != 0;
-  if (defer_index) {
-    // Leave the B-tree entries pointing at the ghost: index probes resolve
-    // them through MvccManager::GhostImage exactly the way sequential
-    // scans resolve page ghosts, and the entries drain once no snapshot
-    // can see the row (DESIGN.md §9).
-    for (IndexInfo* idx : table->indexes) {
-      deferred_index_deletes_.push_back(DeferredIndexDelete{
-          idx, IndexKeyForRow(*idx, row), rid.Pack(), write_id_});
-    }
-  } else {
-    for (IndexInfo* idx : table->indexes) {
-      R3_RETURN_IF_ERROR(
-          idx->btree->Delete(IndexKeyForRow(*idx, row), rid.Pack()));
-    }
+  for (IndexInfo* idx : table->indexes) {
+    R3_RETURN_IF_ERROR(
+        idx->btree->Delete(IndexKeyForRow(*idx, row), rid.Pack()));
   }
   if (table->row_count > 0) table->row_count -= 1;
   table->mods_since_analyze += 1;
@@ -905,9 +827,8 @@ Status Database::DeleteRowAt(TableInfo* table, Rid rid, const Row& row) {
   table->data_bytes = table->data_bytes > bytes ? table->data_bytes - bytes : 0;
   clock_->ChargeDbmsTuple();
   if (txn_mgr_->in_txn()) {
-    UndoEntry e{UndoEntry::Kind::kDelete, table, rid, rid, row, Row{}};
-    e.deferred_index = defer_index;
-    undo_log_.push_back(std::move(e));
+    undo_log_.push_back(
+        UndoEntry{UndoEntry::Kind::kDelete, table, rid, rid, row, Row{}});
   }
   return Status::OK();
 }

@@ -43,17 +43,6 @@ struct DatabaseOptions {
   int exec_threads = 0;
   /// Storage engine for tables created without an explicit ENGINE clause.
   EngineKind default_engine = EngineKind::kRowHeap;
-  /// MVCC read-path symmetry knob (DESIGN.md §9). Off (the default), a
-  /// delete removes the row's B-tree entries eagerly, so index scans stop
-  /// seeing it immediately while sequential scans still resolve the ghost
-  /// for older snapshots — the documented asymmetry. On, entry removal is
-  /// deferred until no live snapshot can see the row, and index probes
-  /// resolve the stale entries through the same version chain sequential
-  /// scans use, making both access paths snapshot-consistent. Known
-  /// limitations while entries are pending: a unique-index insert of the
-  /// deleted key reports a duplicate, and an index created after the
-  /// delete never carries the ghost.
-  bool mvcc_index_ghosts = false;
   /// Registry for `rdbms.*` (and, via the AppServer, `appsys.*`) metrics.
   /// Null uses the process-wide GlobalMetrics(). Benches that build several
   /// systems side by side pass one registry per system.
@@ -338,9 +327,6 @@ class Database {
     Rid new_rid;  ///< update only: RID after the update (may equal rid)
     Row row;      ///< insert: inserted values; delete/update: pre-image
     Row new_row;  ///< update only: post-image (for index undo)
-    /// Delete under `mvcc_index_ghosts`: the B-tree entries were left in
-    /// place (queued for deferred removal), so undo must not re-insert them.
-    bool deferred_index = false;
   };
 
   /// Takes the intention locks above a row write (root IX + table IX) for
@@ -354,20 +340,6 @@ class Database {
   Status LogEngineOp(TableInfo* table, txn::LogType type, Rid rid,
                      std::string_view rec);
   Status UndoOne(const UndoEntry& e);
-
-  /// A B-tree entry whose row was MVCC-deleted under `mvcc_index_ghosts`:
-  /// kept so index scans can resolve the ghost, removed once the deleting
-  /// txn drops below the MVCC horizon (no snapshot can see the row).
-  struct DeferredIndexDelete {
-    IndexInfo* index = nullptr;
-    std::string key;
-    uint64_t rid_pack = 0;
-    uint64_t xmax = 0;  ///< the deleting transaction
-  };
-
-  /// Removes queued index entries whose deleting txn is below the MVCC
-  /// horizon (all of them when `force`). Cheap no-op on an empty queue.
-  Status DrainDeferredIndexDeletes(bool force);
 
   ExecContext MakeExecContext(SubqueryRunnerImpl* runner,
                               const std::vector<Value>* params);
@@ -401,8 +373,6 @@ class Database {
   /// (TxnManager::AllocWriteId). 0 = no DML in flight / MVCC off.
   uint64_t write_id_ = 0;
   std::vector<UndoEntry> undo_log_;
-  /// Pending B-tree cleanups under `mvcc_index_ghosts` (see above).
-  std::vector<DeferredIndexDelete> deferred_index_deletes_;
   std::unordered_map<std::string, std::unique_ptr<PreparedStatement>> prepared_;
   /// Parameter-sensitive plan cache (bind peeking on): one classifier per
   /// statement text plus up to kPeekBuckets compiled variants.

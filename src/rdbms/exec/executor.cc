@@ -120,16 +120,9 @@ std::string ValuesKey(const std::vector<Value>& values) {
 
 Result<bool> MvccFetchRow(const ExecContext& ctx, const TableInfo* table,
                           Rid rid, std::string* rec) {
-  Status got = table->storage->Get(rid, rec);
-  if (got.code() == StatusCode::kNotFound && ctx.mvcc != nullptr &&
-      ctx.snapshot != nullptr) {
-    // Under deferred index cleanup (DatabaseOptions::mvcc_index_ghosts) a
-    // B-tree entry can outlive its row: emit the ghost image when this
-    // snapshot must still see the row, skip the entry otherwise.
-    return ctx.mvcc->GhostImage(table->storage->file_id(), rid, *ctx.snapshot,
-                                rec);
-  }
-  R3_RETURN_IF_ERROR(got);
+  // Deletes remove B-tree entries eagerly, so a live entry whose row is
+  // gone means index and heap disagree: the miss surfaces as an error.
+  R3_RETURN_IF_ERROR(table->storage->Get(rid, rec));
   if (ctx.mvcc == nullptr || ctx.snapshot == nullptr ||
       !ctx.mvcc->MightHaveVersions(table->storage->file_id())) {
     return true;

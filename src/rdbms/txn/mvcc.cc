@@ -252,29 +252,6 @@ void MvccManager::VisibleGhosts(
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-bool MvccManager::GhostImage(uint32_t file_id, Rid rid, const Snapshot& snap,
-                             std::string* out) const {
-  if (!MightHaveVersions(file_id)) return false;
-  std::lock_guard<std::mutex> lk(mu_);
-  auto fit = files_.find(file_id);
-  if (fit == files_.end()) return false;
-  auto rit = fit->second.rows.find(rid.Pack());
-  if (rit == fit->second.rows.end() || !rit->second.deleted) return false;
-  for (const OldVersion& v : rit->second.older) {
-    if (!snap.Sees(v.xmin)) continue;
-    if (snap.Sees(v.xmax)) break;  // deletion (or older end) visible
-    *out = v.record;
-    m_alt_reads_->Increment();
-    return true;
-  }
-  return false;
-}
-
-uint64_t MvccManager::Horizon() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return HorizonLocked();
-}
-
 size_t MvccManager::GarbageCollect() {
   std::lock_guard<std::mutex> lk(mu_);
   return GarbageCollectLocked();

@@ -134,17 +134,6 @@ class MvccManager {
   void VisibleGhosts(uint32_t file_id, uint32_t page_no, const Snapshot& snap,
                      std::vector<std::pair<uint16_t, std::string>>* out) const;
 
-  /// Per-RID counterpart of VisibleGhosts, for index probes that land on a
-  /// deferred-cleanup B-tree entry (DatabaseOptions::mvcc_index_ghosts):
-  /// when the row at `rid` is a ghost whose deletion `snap` must not see,
-  /// copies the snapshot-visible image into `*out` and returns true.
-  bool GhostImage(uint32_t file_id, Rid rid, const Snapshot& snap,
-                  std::string* out) const;
-
-  /// Oldest txn id any live snapshot or in-flight transaction may still
-  /// care about: effects of every id below it are universally visible.
-  uint64_t Horizon() const;
-
   /// Lock-free fast path for scans: false guarantees no row of `file_id`
   /// has version info (every heap record is current and there are no
   /// ghosts), so per-row checks can be skipped wholesale.

@@ -465,8 +465,8 @@ TEST(MvccDatabaseTest, TxnRollbackRevertsVersionMap) {
 
 namespace symmetry {
 
-/// T(A, B) with 256 fat rows A=1..256 and an index on A, stats analyzed so
-/// an equality probe on A plans as an index scan (asserted): the filler
+/// T(A, B) with 2000 fat rows A=1..2000 and an index on A, stats analyzed
+/// so an equality probe on A plans as an index scan (asserted): the filler
 /// column pushes the heap to enough pages that the probe beats the scan.
 void BuildIndexedTable(Database* db) {
   ASSERT_OK(db->Execute("CREATE TABLE T (A INTEGER, B CHAR(200))", {}, nullptr,
@@ -474,7 +474,7 @@ void BuildIndexedTable(Database* db) {
   ASSERT_OK(db->Execute("CREATE INDEX T_A ON T (A)", {}, nullptr, nullptr));
   ASSERT_OK(db->EnableWal());  // turns MVCC on
   const std::string filler(180, 'x');
-  for (int64_t v = 1; v <= 256; ++v) {
+  for (int64_t v = 1; v <= 2000; ++v) {
     ASSERT_OK(db->Execute("INSERT INTO T (A, B) VALUES (" + std::to_string(v) +
                               ", '" + filler + "')",
                           {}, nullptr, nullptr));
@@ -488,7 +488,11 @@ void BuildIndexedTable(Database* db) {
 }  // namespace symmetry
 
 TEST(MvccIndexAsymmetryTest, EagerIndexDeletesMissGhostsByDefault) {
-  Database db;
+  MetricsRegistry metrics;
+  DatabaseOptions opts;
+  opts.batch_rows = 1;
+  opts.metrics = &metrics;
+  Database db(nullptr, opts);
   symmetry::BuildIndexedTable(&db);
 
   auto seq_stmt = db.Prepare("SELECT A FROM T");
@@ -502,72 +506,40 @@ TEST(MvccIndexAsymmetryTest, EagerIndexDeletesMissGhostsByDefault) {
 
   // The sequential scan resolves the ghost for its older snapshot...
   std::vector<int64_t> seq_rows = CollectInts(&db, &seq_cur.value());
-  EXPECT_EQ(seq_rows.size(), 256u);
+  EXPECT_EQ(seq_rows.size(), 2000u);
   EXPECT_TRUE(std::binary_search(seq_rows.begin(), seq_rows.end(), 2));
   // ...but the index probe lost its B-tree entry with the delete: the
-  // documented default asymmetry.
+  // documented asymmetry.
   std::vector<int64_t> idx_rows = CollectInts(&db, &idx_cur.value());
   EXPECT_TRUE(idx_rows.empty());
-}
 
-TEST(MvccIndexAsymmetryTest, DeferredCleanupResolvesGhostsOnIndexScans) {
-  DatabaseOptions opts;
-  opts.mvcc_index_ghosts = true;
-  Database db(nullptr, opts);
-  symmetry::BuildIndexedTable(&db);
+  // The same holds mid-scan: an index range cursor one batch in...
+  const std::string range_sql = "SELECT A FROM T WHERE A < 12";
+  auto plan = db.Explain(range_sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan.value().find("IndexScan"), std::string::npos) << plan.value();
+  auto range_stmt = db.Prepare(range_sql);
+  ASSERT_TRUE(range_stmt.ok()) << range_stmt.status().ToString();
+  auto range_cur = db.OpenCursor(range_stmt.value(), {});
+  ASSERT_TRUE(range_cur.ok()) << range_cur.status().ToString();
+  RowBatch batch(1);
+  auto first = range_cur.value().FetchBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.row(0)[0].int_value(), 1);
+  Counter* alt_reads = metrics.GetCounter("rdbms.mvcc.alt_version_reads");
+  const int64_t alt_reads_before = alt_reads->Value();
 
-  auto idx_stmt = db.Prepare("SELECT A FROM T WHERE A = 2");
-  ASSERT_TRUE(idx_stmt.ok());
-  auto idx_cur = db.OpenCursor(idx_stmt.value(), {});
-  ASSERT_TRUE(idx_cur.ok());
+  // ...then a delete removes later keys of its range from the index.
+  ASSERT_OK(db.Execute("DELETE FROM T WHERE A BETWEEN 5 AND 10", {}, nullptr,
+                       nullptr));
 
-  ASSERT_OK(db.Execute("DELETE FROM T WHERE A = 2", {}, nullptr, nullptr));
-
-  // A second delete probes the stale entry, finds the row gone, and
-  // matches nothing — DML never sees ghosts.
-  int64_t affected = -1;
-  ASSERT_OK(db.Execute("DELETE FROM T WHERE A = 2", {}, nullptr, &affected));
-  EXPECT_EQ(affected, 0);
-
-  // The index cursor's older snapshot resolves the ghost through the
-  // retained entry — same answer the sequential scan gives.
-  std::vector<int64_t> idx_rows = CollectInts(&db, &idx_cur.value());
-  EXPECT_EQ(idx_rows, (std::vector<int64_t>{2}));
-  ASSERT_OK(idx_cur.value().Close());
-
-  // With the pinning snapshot gone the entry drains at the next
-  // transaction boundary, and fresh probes stay clean.
-  ASSERT_OK(db.Begin());
-  ASSERT_OK(db.Commit());
-  auto now = db.Query("SELECT A FROM T WHERE A = 2");
-  ASSERT_TRUE(now.ok()) << now.status().ToString();
-  EXPECT_TRUE(now.value().rows.empty());
-}
-
-TEST(MvccIndexAsymmetryTest, RollbackKeepsDeferredEntriesLive) {
-  DatabaseOptions opts;
-  opts.mvcc_index_ghosts = true;
-  Database db(nullptr, opts);
-  symmetry::BuildIndexedTable(&db);
-
-  ASSERT_OK(db.Begin());
-  ASSERT_OK(db.Execute("DELETE FROM T WHERE A = 2", {}, nullptr, nullptr));
-  ASSERT_OK(db.Rollback());
-
-  // The entry was never removed and the undo did not re-insert it:
-  // exactly one match, not zero, not two.
-  auto rows = db.Query("SELECT A FROM T WHERE A = 2");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ASSERT_EQ(rows.value().rows.size(), 1u);
-  EXPECT_EQ(rows.value().rows[0][0].int_value(), 2);
-
-  // And the restored row still deletes normally afterwards.
-  int64_t affected = 0;
-  ASSERT_OK(db.Execute("DELETE FROM T WHERE A = 2", {}, nullptr, &affected));
-  EXPECT_EQ(affected, 1);
-  auto gone = db.Query("SELECT A FROM T WHERE A = 2");
-  ASSERT_TRUE(gone.ok()) << gone.status().ToString();
-  EXPECT_TRUE(gone.value().rows.empty());
+  // The cursor finishes on the surviving entries with no error, and no
+  // deleted key resurfaces through an older version.
+  std::vector<int64_t> rest = CollectInts(&db, &range_cur.value());
+  EXPECT_EQ(rest, (std::vector<int64_t>{3, 4, 11}));
+  EXPECT_EQ(alt_reads->Value(), alt_reads_before);
 }
 
 }  // namespace

@@ -26,137 +26,118 @@ void DbConnection::ChargeShipment(const rdbms::QueryResult& result) {
   clock_->ChargeTupleShip(static_cast<int64_t>(result.rows.size()));
 }
 
-Result<rdbms::QueryResult> DbConnection::ExecuteSql(
-    const std::string& sql, const std::vector<rdbms::Value>& params) {
-  TraceSpan span(clock_, "interface", "db_call.exec_sql");
+template <typename Call>
+Status DbConnection::RoundTrip(const char* span_name, SqlInterface kind,
+                               const std::string& sql,
+                               const std::vector<rdbms::Value>& params,
+                               Call&& call) {
+  TraceSpan span(clock_, "interface", span_name);
   int64_t start_us = clock_->NowMicros();
   int64_t phys_before =
       sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
   ++stats_.round_trips;
   m_round_trips_->Add(1);
   clock_->ChargeRoundTrip();
-  R3_ASSIGN_OR_RETURN(rdbms::QueryResult result, db_->Query(sql, params));
-  ChargeShipment(result);
-  span.ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
+  SqlTraceEvent e;
+  R3_RETURN_IF_ERROR(call(&span, &e));
   int64_t dur_us = clock_->NowMicros() - start_us;
   if (workload_monitor_ != nullptr) {
     workload_monitor_->AddDbRequestTime(dur_us);
   }
   if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kNativeSql;
+    e.interface_kind = kind;
     e.sql = sql;
     e.binds = JoinBinds(params);
     e.sim_start_us = start_us;
     e.db_us = dur_us;
-    e.rows = static_cast<int64_t>(result.rows.size());
     e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
     sql_trace_->RecordEvent(std::move(e));
   }
+  return Status::OK();
+}
+
+Result<rdbms::QueryResult> DbConnection::ExecuteSql(
+    const std::string& sql, const std::vector<rdbms::Value>& params) {
+  rdbms::QueryResult result;
+  R3_RETURN_IF_ERROR(RoundTrip(
+      "db_call.exec_sql", SqlInterface::kNativeSql, sql, params,
+      [&](TraceSpan* span, SqlTraceEvent* e) -> Status {
+        R3_ASSIGN_OR_RETURN(result, db_->Query(sql, params));
+        ChargeShipment(result);
+        span->ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
+        e->rows = static_cast<int64_t>(result.rows.size());
+        return Status::OK();
+      }));
   return result;
 }
 
 Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
     const std::string& sql, const std::vector<rdbms::Value>& params) {
-  TraceSpan span(clock_, "interface", "db_call.cursor");
-  int64_t start_us = clock_->NowMicros();
-  int64_t phys_before =
-      sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
-  ++stats_.round_trips;
-  m_round_trips_->Add(1);
-  clock_->ChargeRoundTrip();
-  rdbms::Database::BindPeekInfo peek;
-  R3_ASSIGN_OR_RETURN(rdbms::PreparedStatement * stmt,
-                      db_->PrepareWithParams(sql, params, &peek));
-  // With bind peeking on, the cursor cache holds one entry per plan variant:
-  // landing in a new selectivity bucket is a miss (new cursor compiled),
-  // re-execution within a known bucket is a hit.
-  std::string cursor_key =
-      peek.peeked ? sql + '\x1f' + static_cast<char>('0' + peek.bucket) : sql;
-  bool cursor_hit;
-  if (seen_statements_.insert(cursor_key).second) {
-    cursor_hit = false;
-    ++stats_.cursor_cache_misses;
-    m_cursor_misses_->Add(1);
-  } else {
-    cursor_hit = true;
-    ++stats_.cursor_cache_hits;
-    m_cursor_hits_->Add(1);
-  }
-  if (peek.peeked) span.ArgInt("peek_bucket", peek.bucket);
-  R3_ASSIGN_OR_RETURN(rdbms::Cursor cur, db_->OpenCursor(stmt, params));
   rdbms::QueryResult result;
-  result.schema = stmt->output_schema();
-  result.column_names = stmt->column_names();
-  rdbms::RowBatch batch(db_->batch_rows());
-  int64_t fetches = 0;
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
-    if (!ok) break;
-    ++fetches;
-    // The ship charge is per tuple crossing the interface; batching the
-    // fetch amortizes the call, not the per-tuple cost.
-    stats_.rows_shipped += static_cast<int64_t>(batch.size());
-    m_rows_shipped_->Add(static_cast<int64_t>(batch.size()));
-    clock_->ChargeTupleShip(static_cast<int64_t>(batch.size()));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      result.rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  R3_RETURN_IF_ERROR(cur.Close());
-  span.ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
-  int64_t dur_us = clock_->NowMicros() - start_us;
-  if (workload_monitor_ != nullptr) {
-    workload_monitor_->AddDbRequestTime(dur_us);
-  }
-  if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kOpenSql;
-    e.sql = sql;
-    e.binds = JoinBinds(params);
-    e.sim_start_us = start_us;
-    e.db_us = dur_us;
-    e.rows = static_cast<int64_t>(result.rows.size());
-    e.fetches = fetches;
-    e.cursor = cursor_hit ? 1 : 0;
-    e.peeked = peek.peeked;
-    e.bucket = peek.peeked ? peek.bucket : -1;
-    e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
-    sql_trace_->RecordEvent(std::move(e));
-  }
+  R3_RETURN_IF_ERROR(RoundTrip(
+      "db_call.cursor", SqlInterface::kOpenSql, sql, params,
+      [&](TraceSpan* span, SqlTraceEvent* e) -> Status {
+        rdbms::Database::BindPeekInfo peek;
+        R3_ASSIGN_OR_RETURN(rdbms::PreparedStatement * stmt,
+                            db_->PrepareWithParams(sql, params, &peek));
+        // With bind peeking on, the cursor cache holds one entry per plan
+        // variant: landing in a new selectivity bucket is a miss (new cursor
+        // compiled), re-execution within a known bucket is a hit.
+        std::string cursor_key =
+            peek.peeked ? sql + '\x1f' + static_cast<char>('0' + peek.bucket)
+                        : sql;
+        bool cursor_hit;
+        if (seen_statements_.insert(cursor_key).second) {
+          cursor_hit = false;
+          ++stats_.cursor_cache_misses;
+          m_cursor_misses_->Add(1);
+        } else {
+          cursor_hit = true;
+          ++stats_.cursor_cache_hits;
+          m_cursor_hits_->Add(1);
+        }
+        if (peek.peeked) span->ArgInt("peek_bucket", peek.bucket);
+        R3_ASSIGN_OR_RETURN(rdbms::Cursor cur, db_->OpenCursor(stmt, params));
+        result.schema = stmt->output_schema();
+        result.column_names = stmt->column_names();
+        rdbms::RowBatch batch(db_->batch_rows());
+        int64_t fetches = 0;
+        while (true) {
+          R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
+          if (!ok) break;
+          ++fetches;
+          // The ship charge is per tuple crossing the interface; batching the
+          // fetch amortizes the call, not the per-tuple cost.
+          stats_.rows_shipped += static_cast<int64_t>(batch.size());
+          m_rows_shipped_->Add(static_cast<int64_t>(batch.size()));
+          clock_->ChargeTupleShip(static_cast<int64_t>(batch.size()));
+          for (size_t i = 0; i < batch.size(); ++i) {
+            result.rows.push_back(std::move(batch.row(i)));
+          }
+        }
+        R3_RETURN_IF_ERROR(cur.Close());
+        span->ArgInt("rows_shipped", static_cast<int64_t>(result.rows.size()));
+        e->rows = static_cast<int64_t>(result.rows.size());
+        e->fetches = fetches;
+        e->cursor = cursor_hit ? 1 : 0;
+        e->peeked = peek.peeked;
+        e->bucket = peek.peeked ? peek.bucket : -1;
+        return Status::OK();
+      }));
   return result;
 }
 
 Status DbConnection::ExecuteDml(const std::string& sql,
                                 const std::vector<rdbms::Value>& params,
                                 int64_t* affected_rows) {
-  TraceSpan span(clock_, "interface", "db_call.dml");
-  int64_t start_us = clock_->NowMicros();
-  int64_t phys_before =
-      sql_trace_ != nullptr ? m_bp_physical_reads_->Value() : 0;
-  ++stats_.round_trips;
-  m_round_trips_->Add(1);
-  clock_->ChargeRoundTrip();
-  int64_t affected = 0;
-  Status st = db_->Execute(sql, params, nullptr, &affected);
-  if (affected_rows != nullptr) *affected_rows = affected;
-  if (!st.ok()) return st;
-  int64_t dur_us = clock_->NowMicros() - start_us;
-  if (workload_monitor_ != nullptr) {
-    workload_monitor_->AddDbRequestTime(dur_us);
-  }
-  if (sql_trace_ != nullptr) {
-    SqlTraceEvent e;
-    e.interface_kind = SqlInterface::kDml;
-    e.sql = sql;
-    e.binds = JoinBinds(params);
-    e.sim_start_us = start_us;
-    e.db_us = dur_us;
-    e.rows = affected;
-    e.physical_reads = m_bp_physical_reads_->Value() - phys_before;
-    sql_trace_->RecordEvent(std::move(e));
-  }
-  return st;
+  return RoundTrip("db_call.dml", SqlInterface::kDml, sql, params,
+                   [&](TraceSpan*, SqlTraceEvent* e) -> Status {
+                     int64_t affected = 0;
+                     Status st = db_->Execute(sql, params, nullptr, &affected);
+                     if (affected_rows != nullptr) *affected_rows = affected;
+                     e->rows = affected;
+                     return st;
+                   });
 }
 
 }  // namespace appsys

@@ -9,6 +9,7 @@
 #include "appsys/workload_monitor.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
+#include "common/trace.h"
 #include "rdbms/db.h"
 
 namespace r3 {
@@ -79,6 +80,17 @@ class DbConnection {
 
  private:
   void ChargeShipment(const rdbms::QueryResult& result);
+
+  /// One call across the interface: opens the `interface/<span_name>` span,
+  /// charges the round trip and runs `call(&span, &event)`, which does the
+  /// database work and fills the interface-specific trace fields. On success
+  /// the call's simulated time is booked with the workload monitor and the
+  /// event, completed with the fields every call shares, goes to the SQL
+  /// trace. On error nothing is recorded.
+  template <typename Call>
+  Status RoundTrip(const char* span_name, SqlInterface kind,
+                   const std::string& sql,
+                   const std::vector<rdbms::Value>& params, Call&& call);
 
   rdbms::Database* db_;
   SimClock* clock_;

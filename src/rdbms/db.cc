@@ -39,8 +39,6 @@ Database::Database(SimClock* clock, DatabaseOptions options)
   catalog_->set_default_engine(options_.default_engine);
   catalog_->set_metrics(metrics_);
   txn_mgr_ = std::make_unique<txn::TxnManager>(pool_.get(), clock_, metrics_);
-  options_.planner.work_mem_bytes = options_.work_mem_bytes;
-  options_.planner.dop = options_.dop;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +216,7 @@ Status Database::UndoOne(const UndoEntry& e) {
 
 void Database::set_dop(int dop) {
   if (dop < 1) dop = 1;
-  if (dop == options_.dop) return;
-  options_.dop = dop;
+  if (dop == options_.planner.dop) return;
   options_.planner.dop = dop;
   // Cached plans embed the old lane count; recompile on next use.
   prepared_.clear();
@@ -242,20 +239,6 @@ void Database::set_batch_rows(size_t batch_rows) {
 uint64_t Database::BeginStatement() {
   m_statements_->Add(1);
   return ++statement_epoch_;
-}
-
-ExecContext Database::MakeExecContext(SubqueryRunnerImpl* runner,
-                                      const std::vector<Value>* params) {
-  ExecContext ctx;
-  ctx.pool = pool_.get();
-  ctx.clock = clock_;
-  ctx.params = params;
-  ctx.subqueries = runner;
-  ctx.work_mem_bytes = options_.work_mem_bytes;
-  ctx.dop = EffectiveExecThreads();
-  ctx.batch_size = options_.batch_rows < 1 ? 1 : options_.batch_rows;
-  ctx.statement_epoch = statement_epoch_;
-  return ctx;
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +273,9 @@ Status Cursor::Close() {
   return st;
 }
 
-Result<Cursor> Database::OpenCursor(PreparedStatement* stmt,
-                                    const std::vector<Value>& params) {
-  BeginStatement();
+Result<Cursor> Database::Open(PreparedStatement* stmt,
+                              const std::vector<Value>& params,
+                              ExecContext::Totals* totals) {
   Cursor cur;
   cur.state_ = std::make_unique<Cursor::State>();
   Cursor::State* st = cur.state_.get();
@@ -301,17 +284,49 @@ Result<Cursor> Database::OpenCursor(PreparedStatement* stmt,
   // Covers the whole open..fetch..close window; ends in Cursor::Close after
   // the plan's own Close (State members are destroyed span-first).
   st->span = TraceSpan(clock_, "sql", "execute");
-  stmt->plan_.runner->BindExecution(pool_.get(), clock_, &st->params,
-                                    options_.work_mem_bytes,
-                                    EffectiveExecThreads(),
-                                    options_.batch_rows, statement_epoch_);
   st->snapshot = txn_mgr_->AcquireSnapshot();
-  stmt->plan_.runner->BindMvcc(txn_mgr_->mvcc(), st->snapshot.get());
-  st->ctx = MakeExecContext(stmt->plan_.runner.get(), &st->params);
-  st->ctx.mvcc = txn_mgr_->mvcc();
-  st->ctx.snapshot = st->snapshot.get();
-  R3_RETURN_IF_ERROR(stmt->plan_.root->Open(&st->ctx));
+  ExecContext& ctx = st->ctx;
+  ctx.pool = pool_.get();
+  ctx.clock = clock_;
+  ctx.params = &st->params;
+  ctx.subqueries = stmt->plan_.runner.get();
+  ctx.work_mem_bytes = options_.work_mem_bytes;
+  ctx.dop = EffectiveExecThreads();
+  ctx.batch_size = options_.batch_rows < 1 ? 1 : options_.batch_rows;
+  ctx.statement_epoch = statement_epoch_;
+  ctx.mvcc = txn_mgr_->mvcc();
+  ctx.snapshot = st->snapshot.get();
+  ctx.totals = totals;
+  stmt->plan_.runner->Bind(ctx);
+  R3_RETURN_IF_ERROR(stmt->plan_.root->Open(&ctx));
   return cur;
+}
+
+Result<Cursor> Database::OpenCursor(PreparedStatement* stmt,
+                                    const std::vector<Value>& params) {
+  BeginStatement();
+  return Open(stmt, params);
+}
+
+Status Database::Run(PreparedStatement* stmt, const std::vector<Value>& params,
+                     const SimTimer& timer, QueryResult* result,
+                     ExecContext::Totals* totals) {
+  R3_ASSIGN_OR_RETURN(Cursor cur, Open(stmt, params, totals));
+  result->schema = stmt->plan_.output_schema;
+  result->column_names = stmt->plan_.column_names;
+  result->rows.clear();
+  RowBatch batch(cur.state_->ctx.batch_size);
+  while (true) {
+    R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
+    if (!ok) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      result->rows.push_back(std::move(batch.row(i)));
+    }
+  }
+  cur.state_->span.ArgInt("rows", static_cast<int64_t>(result->rows.size()));
+  R3_RETURN_IF_ERROR(cur.Close());
+  h_statement_sim_us_->Observe(timer.ElapsedUs());
+  return Status::OK();
 }
 
 Status Database::Execute(const std::string& sql,
@@ -410,41 +425,40 @@ Status Database::ExecuteSelect(const SelectStmt& stmt,
   m_hard_parses_->Add(1);
   SimTimer timer(*clock_);
   clock_->ChargeStatementCompile();
+  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+                      Compile(stmt, options_.planner));
+  return Run(&compiled, params, timer, result);
+}
+
+Result<PreparedStatement> Database::Compile(const SelectStmt& stmt,
+                                            const PlannerOptions& planner,
+                                            const std::vector<Value>* peeked,
+                                            PeekClassifier* classifier_out) {
   TraceSpan bind_span(clock_, "sql", "bind");
   Binder binder(catalog_.get());
   R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(stmt));
   bind_span.End();
+  if (classifier_out != nullptr) *classifier_out = BuildPeekClassifier(*bq);
   TraceSpan opt_span(clock_, "sql", "optimize");
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
+  Optimizer opt(catalog_.get(), planner, metrics_, peeked);
+  PreparedStatement compiled;
+  R3_ASSIGN_OR_RETURN(compiled.plan_, opt.Plan(std::move(bq)));
+  return compiled;
+}
 
-  plan.runner->BindExecution(pool_.get(), clock_, &params,
-                             options_.work_mem_bytes, EffectiveExecThreads(),
-                             options_.batch_rows, statement_epoch_);
-  std::shared_ptr<const txn::Snapshot> snapshot = txn_mgr_->AcquireSnapshot();
-  plan.runner->BindMvcc(txn_mgr_->mvcc(), snapshot.get());
-  ExecContext ctx = MakeExecContext(plan.runner.get(), &params);
-  ctx.mvcc = txn_mgr_->mvcc();
-  ctx.snapshot = snapshot.get();
-  result->schema = plan.output_schema;
-  result->column_names = plan.column_names;
-  result->rows.clear();
-  TraceSpan exec_span(clock_, "sql", "execute");
-  R3_RETURN_IF_ERROR(plan.root->Open(&ctx));
-  RowBatch batch(ctx.batch_size);
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, plan.root->NextBatch(&batch));
-    if (!ok) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      result->rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  Status close_status = plan.root->Close();
-  exec_span.ArgInt("rows", static_cast<int64_t>(result->rows.size()));
-  exec_span.End();
-  h_statement_sim_us_->Observe(timer.ElapsedUs());
-  return close_status;
+Result<std::unique_ptr<PreparedStatement>> Database::HardParse(
+    const std::string& sql, const std::vector<Value>* peeked,
+    PeekClassifier* classifier_out) {
+  m_hard_parses_->Add(1);
+  TraceSpan prepare_span(clock_, "sql", "prepare");
+  clock_->ChargeStatementCompile();
+  TraceSpan parse_span(clock_, "sql", "parse");
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
+  parse_span.End();
+  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+                      Compile(*sel, options_.planner, peeked, classifier_out));
+  if (peeked != nullptr) m_plan_variants_->Add(1);
+  return std::make_unique<PreparedStatement>(std::move(compiled));
 }
 
 Result<PreparedStatement*> Database::Prepare(const std::string& sql) {
@@ -453,55 +467,10 @@ Result<PreparedStatement*> Database::Prepare(const std::string& sql) {
     m_prepared_hits_->Add(1);
     return it->second.get();
   }
-
-  m_hard_parses_->Add(1);
-  TraceSpan prepare_span(clock_, "sql", "prepare");
-  clock_->ChargeStatementCompile();
-  TraceSpan parse_span(clock_, "sql", "parse");
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  parse_span.End();
-  TraceSpan bind_span(clock_, "sql", "bind");
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  bind_span.End();
-  TraceSpan opt_span(clock_, "sql", "optimize");
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
-
-  auto stmt = std::make_unique<PreparedStatement>();
-  stmt->sql_ = sql;
-  stmt->plan_ = std::move(plan);
+  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt, HardParse(sql));
   PreparedStatement* raw = stmt.get();
   prepared_.emplace(sql, std::move(stmt));
   return raw;
-}
-
-Result<std::unique_ptr<PreparedStatement>> Database::CompilePeekedVariant(
-    const std::string& sql, const std::vector<Value>& params,
-    PeekClassifier* classifier_out) {
-  m_hard_parses_->Add(1);
-  TraceSpan prepare_span(clock_, "sql", "prepare");
-  clock_->ChargeStatementCompile();
-  TraceSpan parse_span(clock_, "sql", "parse");
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  parse_span.End();
-  TraceSpan bind_span(clock_, "sql", "bind");
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  bind_span.End();
-  if (classifier_out != nullptr) *classifier_out = BuildPeekClassifier(*bq);
-  TraceSpan opt_span(clock_, "sql", "optimize");
-  PlannerOptions popts = options_.planner;
-  popts.peeked_params = &params;
-  Optimizer opt(catalog_.get(), popts, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  opt_span.End();
-  auto stmt = std::make_unique<PreparedStatement>();
-  stmt->sql_ = sql;
-  stmt->plan_ = std::move(plan);
-  m_plan_variants_->Add(1);
-  return stmt;
 }
 
 Result<PreparedStatement*> Database::PrepareWithParams(
@@ -516,7 +485,7 @@ Result<PreparedStatement*> Database::PrepareWithParams(
     // variant, filed under the bucket these bind values land in.
     PeekedStatement ps;
     R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                        CompilePeekedVariant(sql, params, &ps.classifier));
+                        HardParse(sql, &params, &ps.classifier));
     double est = PeekEstimate(ps.classifier, params);
     int bucket = PeekBucket(est);
     PreparedStatement* raw = stmt.get();
@@ -549,7 +518,7 @@ Result<PreparedStatement*> Database::PrepareWithParams(
   }
   // Bucket boundary crossed: compile one new variant for this bucket.
   R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                      CompilePeekedVariant(sql, params, nullptr));
+                      HardParse(sql, &params));
   PreparedStatement* raw = stmt.get();
   slot = std::move(stmt);
   return raw;
@@ -558,54 +527,37 @@ Result<PreparedStatement*> Database::PrepareWithParams(
 Result<QueryResult> Database::ExecutePrepared(PreparedStatement* stmt,
                                               const std::vector<Value>& params) {
   SimTimer timer(*clock_);
-  R3_ASSIGN_OR_RETURN(Cursor cur, OpenCursor(stmt, params));
+  BeginStatement();
   QueryResult result;
-  result.schema = stmt->plan_.output_schema;
-  result.column_names = stmt->plan_.column_names;
-  RowBatch batch(options_.batch_rows < 1 ? 1 : options_.batch_rows);
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, cur.FetchBatch(&batch));
-    if (!ok) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      result.rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  R3_RETURN_IF_ERROR(cur.Close());
-  h_statement_sim_us_->Observe(timer.ElapsedUs());
+  R3_RETURN_IF_ERROR(Run(stmt, params, timer, &result));
   return result;
 }
 
 Result<std::string> Database::Explain(const std::string& sql) {
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-  return plan.Explain();
+  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+                      Compile(*sel, options_.planner));
+  return compiled.ExplainPlan();
 }
 
 Result<std::string> Database::Explain(const std::string& sql,
                                       const std::vector<Value>& params) {
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  PeekClassifier classifier = BuildPeekClassifier(*bq);
+  PlannerOptions planner = options_.planner;
+  planner.bind_peeking = true;
+  PeekClassifier classifier;
+  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+                      Compile(*sel, planner, &params, &classifier));
   double est = PeekEstimate(classifier, params);
   int bucket = PeekBucket(est);
-  std::vector<const TableInfo*> tables;
-  for (const BoundTableRef& bt : bq->tables) tables.push_back(bt.table);
-  PlannerOptions popts = options_.planner;
-  popts.bind_peeking = true;
-  popts.peeked_params = &params;
-  Optimizer opt(catalog_.get(), popts, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
   std::string out =
       str::Format("Peek: bucket=%d est_fraction=%.6f\n", bucket, est);
   const CostModel& cost = DefaultCostModel();
-  for (const TableInfo* t : tables) {
-    out += OptimizerCosts::ForTable(*t, cost).Describe(t->name) + "\n";
+  for (const BoundTableRef& bt : compiled.plan_.query->tables) {
+    out += OptimizerCosts::ForTable(*bt.table, cost).Describe(bt.table->name) +
+           "\n";
   }
-  out += plan.Explain();
+  out += compiled.ExplainPlan();
   return out;
 }
 
@@ -616,44 +568,23 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
   SimTimer timer(*clock_);
   clock_->ChargeStatementCompile();
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  Binder binder(catalog_.get());
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(*sel));
-  std::vector<const TableInfo*> plan_tables;
-  for (const BoundTableRef& bt : bq->tables) plan_tables.push_back(bt.table);
-  Optimizer opt(catalog_.get(), options_.planner, metrics_);
-  R3_ASSIGN_OR_RETURN(PhysicalPlan plan, opt.Plan(std::move(bq)));
-
-  plan.runner->BindExecution(pool_.get(), clock_, &params,
-                             options_.work_mem_bytes, EffectiveExecThreads(),
-                             options_.batch_rows, statement_epoch_);
-  std::shared_ptr<const txn::Snapshot> snapshot = txn_mgr_->AcquireSnapshot();
-  plan.runner->BindMvcc(txn_mgr_->mvcc(), snapshot.get());
-  ExecContext ctx = MakeExecContext(plan.runner.get(), &params);
-  ctx.mvcc = txn_mgr_->mvcc();
-  ctx.snapshot = snapshot.get();
+  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+                      Compile(*sel, options_.planner));
   ExecContext::Totals totals;
-  ctx.totals = &totals;
   BufferPoolStats pool_before = pool_->stats();
-  R3_RETURN_IF_ERROR(plan.root->Open(&ctx));
-  RowBatch batch(ctx.batch_size);
-  int64_t result_rows = 0;
-  while (true) {
-    R3_ASSIGN_OR_RETURN(bool ok, plan.root->NextBatch(&batch));
-    if (!ok) break;
-    result_rows += static_cast<int64_t>(batch.size());
-  }
-  R3_RETURN_IF_ERROR(plan.root->Close());
+  QueryResult result;
+  R3_RETURN_IF_ERROR(Run(&compiled, params, timer, &result, &totals));
   BufferPoolStats pool_after = pool_->stats();
-  h_statement_sim_us_->Observe(timer.ElapsedUs());
-  std::string out = ExplainPlan(*plan.root, /*analyze=*/true);
+  std::string out = ExplainPlan(*compiled.plan_.root, /*analyze=*/true);
   out += str::Format(
       "\nTotals: result_rows=%lld exchanged_rows=%lld batches=%lld "
       "opens=%lld closes=%lld",
-      static_cast<long long>(result_rows), static_cast<long long>(totals.rows),
+      static_cast<long long>(result.rows.size()),
+      static_cast<long long>(totals.rows),
       static_cast<long long>(totals.batches),
       static_cast<long long>(totals.opens),
       static_cast<long long>(totals.closes));
-  out += "\nOptimizer: " + plan.choices.Summary();
+  out += "\nOptimizer: " + compiled.plan_.choices.Summary();
   uint64_t logical = pool_after.logical_reads - pool_before.logical_reads;
   uint64_t physical = pool_after.physical_reads - pool_before.physical_reads;
   double hit_pct =
@@ -672,7 +603,8 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
       static_cast<unsigned long long>(pool_after.page_writes -
                                       pool_before.page_writes),
       hit_pct);
-  for (const TableInfo* t : plan_tables) {
+  for (const BoundTableRef& bt : compiled.plan_.query->tables) {
+    const TableInfo* t = bt.table;
     if (!t->stats_stale()) continue;
     uint64_t threshold = t->stats.row_count / 10;
     if (threshold < 64) threshold = 64;

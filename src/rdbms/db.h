@@ -27,19 +27,16 @@ struct DatabaseOptions {
   /// its back-end (Section 3.3 of the paper); benches keep this setting.
   size_t buffer_pool_bytes = 10u << 20;
   size_t work_mem_bytes = 4u << 20;
-  /// Degree of intra-query parallelism (1 = serial, the paper's setting).
-  /// Copied into `planner.dop` at construction; change later via
-  /// Database::set_dop().
-  int dop = 1;
   /// Rows per RowBatch in the execution pipeline (1 = row-at-a-time shape).
   /// Purely a wall-clock knob: results and simulated times do not depend on
   /// it (DESIGN.md §6).
   size_t batch_rows = kDefaultBatchRows;
   /// OS worker-thread cap for parallel plan fragments; 0 (default) follows
-  /// `dop`. Unlike `dop` — which fixes the *plan's* lane count and thereby
-  /// results and simulated times — this is purely a wall-clock knob: the
-  /// same dop-N plan runs its N lanes on up to `exec_threads` threads with
-  /// identical simulated behaviour (DESIGN.md §7).
+  /// `planner.dop`. Unlike `planner.dop` — which fixes the *plan's* lane
+  /// count and thereby results and simulated times — this is purely a
+  /// wall-clock knob: the same dop-N plan runs its N lanes on up to
+  /// `exec_threads` threads with identical simulated behaviour (DESIGN.md
+  /// §7).
   int exec_threads = 0;
   /// Storage engine for tables created without an explicit ENGINE clause.
   EngineKind default_engine = EngineKind::kRowHeap;
@@ -47,6 +44,8 @@ struct DatabaseOptions {
   /// Null uses the process-wide GlobalMetrics(). Benches that build several
   /// systems side by side pass one registry per system.
   MetricsRegistry* metrics = nullptr;
+  /// Plan-shaping settings, among them the degree of intra-query
+  /// parallelism (`planner.dop`, 1 = serial, the paper's setting).
   PlannerOptions planner;
 };
 
@@ -71,7 +70,6 @@ class PreparedStatement {
  private:
   friend class Database;
   friend class Cursor;
-  std::string sql_;
   PhysicalPlan plan_;
 };
 
@@ -148,7 +146,7 @@ class Database {
   /// their lane count at compile time, so the prepared-statement cache is
   /// invalidated.
   void set_dop(int dop);
-  int dop() const { return options_.dop; }
+  int dop() const { return options_.planner.dop; }
 
   /// Changes the execution batch size for subsequent statements (min 1).
   /// Plans don't embed it, so cached prepared statements stay valid.
@@ -294,6 +292,7 @@ class Database {
   Result<std::vector<TableSize>> TableSizes() const;
 
  private:
+  /// The one-shot SELECT path: compiles (hard parse charged) and runs.
   Status ExecuteSelect(const SelectStmt& stmt, const std::vector<Value>& params,
                        QueryResult* result);
   Status ExecuteInsert(const InsertStmt& stmt, const std::vector<Value>& params,
@@ -341,19 +340,41 @@ class Database {
                      std::string_view rec);
   Status UndoOne(const UndoEntry& e);
 
-  ExecContext MakeExecContext(SubqueryRunnerImpl* runner,
-                              const std::vector<Value>* params);
+  /// Binds and plans a parsed SELECT under the `sql/bind` and
+  /// `sql/optimize` spans. Charges and counts nothing: each entry point
+  /// does its own accounting. `peeked` (null = none) are bind values the
+  /// planner sees when `planner.bind_peeking` is on; `classifier_out`
+  /// (optional) receives the peek classifier, extracted before planning
+  /// consumes the bound query.
+  Result<PreparedStatement> Compile(const SelectStmt& stmt,
+                                    const PlannerOptions& planner,
+                                    const std::vector<Value>* peeked = nullptr,
+                                    PeekClassifier* classifier_out = nullptr);
 
-  /// Hard-parses one plan variant with `params` visible to the planner as
-  /// peeked constants. `classifier_out` (optional) receives the statement's
-  /// peek classifier, extracted before planning consumes the bound query.
-  Result<std::unique_ptr<PreparedStatement>> CompilePeekedVariant(
-      const std::string& sql, const std::vector<Value>& params,
-      PeekClassifier* classifier_out);
+  /// Parses and compiles `sql` under a `sql/prepare` span, counting a hard
+  /// parse and charging the compile: the miss path of both plan caches.
+  /// Each peeked compile (`peeked` non-null) counts one plan variant.
+  Result<std::unique_ptr<PreparedStatement>> HardParse(
+      const std::string& sql, const std::vector<Value>* peeked = nullptr,
+      PeekClassifier* classifier_out = nullptr);
+
+  /// Opens `stmt`'s plan for a run under a fresh snapshot: the statement's
+  /// ExecContext reaches every operator and, through the subquery runner,
+  /// every subquery plan. Does not count a statement (callers do).
+  /// `totals` (optional) collects EXPLAIN ANALYZE operator totals.
+  Result<Cursor> Open(PreparedStatement* stmt, const std::vector<Value>& params,
+                      ExecContext::Totals* totals = nullptr);
+
+  /// Opens, drains into `*result` and closes `stmt`, then samples
+  /// `rdbms.sql.statement_sim_us` from `timer`'s start.
+  Status Run(PreparedStatement* stmt, const std::vector<Value>& params,
+             const SimTimer& timer, QueryResult* result,
+             ExecContext::Totals* totals = nullptr);
 
   /// Effective OS-thread budget for parallel fragments.
   int EffectiveExecThreads() const {
-    return options_.exec_threads > 0 ? options_.exec_threads : options_.dop;
+    return options_.exec_threads > 0 ? options_.exec_threads
+                                     : options_.planner.dop;
   }
 
   /// Advances the statement epoch (operator stats reset on next Open) and

@@ -60,8 +60,9 @@ struct ExecContext {
   txn::MvccManager* mvcc = nullptr;
   const txn::Snapshot* snapshot = nullptr;
 
-  /// Query-wide operator counters, summed across every operator of the plan
-  /// (EXPLAIN ANALYZE sets this; normal execution leaves it null).
+  /// Query-wide operator counters, summed across the operators of the
+  /// top-level plan (EXPLAIN ANALYZE sets this; normal execution and
+  /// subquery contexts leave it null).
   struct Totals {
     int64_t rows = 0;     ///< rows exchanged between operators
     int64_t batches = 0;  ///< non-empty batches exchanged

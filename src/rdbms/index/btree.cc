@@ -205,6 +205,34 @@ bool EntryLess(const std::pair<std::string, uint64_t>& a,
   return a.second < b.second;
 }
 
+// True while slot `pos` of a leaf is still where a cursor resumes: right
+// after the entry (key, payload) it returned last or, before its first
+// Next (`returned` false), at the first entry >= its Seek key.
+bool ResumesAt(const Node& node, uint32_t pos, std::string_view key,
+               uint64_t payload, bool returned) {
+  const uint32_t n = node.nkeys();
+  if (pos > n) return false;
+  if (returned) {
+    if (pos == 0) return false;
+    const uint16_t prev = static_cast<uint16_t>(pos - 1);
+    return node.Payload(prev) == payload && node.Key(prev) == key;
+  }
+  return (pos == 0 || node.Key(static_cast<uint16_t>(pos - 1)) < key) &&
+         (pos == n || node.Key(static_cast<uint16_t>(pos)) >= key);
+}
+
+// The slot of a leaf at which such a cursor resumes after the tree changed.
+uint16_t ResumeSlot(const Node& node, std::string_view key, uint64_t payload,
+                    bool returned) {
+  if (!returned) return node.LowerBoundKey(key);
+  uint16_t pos = node.LowerBound(key, payload);
+  if (pos < node.nkeys() && node.Payload(pos) == payload &&
+      node.Key(pos) == key) {
+    ++pos;
+  }
+  return pos;
+}
+
 }  // namespace
 
 Result<BTree> BTree::Create(BufferPool* pool) {
@@ -368,20 +396,39 @@ Result<BTree::Cursor> BTree::Seek(std::string_view lower) {
   c.page_no_ = leaf_no;
   c.pos_ = pos;
   c.done_ = false;
+  c.bound_key_.assign(lower.data(), lower.size());
   // Cursor::Next handles pos == nkeys by hopping leaves.
   return c;
 }
 
 Result<bool> BTree::Cursor::Next(std::string* key, uint64_t* payload) {
   if (done_) return false;
+  // Only the leaf the cursor rests on can have shifted under it since the
+  // last call. Once that check fails, every leaf from there on is entered by
+  // binary search for the bound, not at slot 0: a split may have moved the
+  // bound itself to a leaf further right.
+  bool first_leaf = true;
+  bool reposition = false;
   while (true) {
     R3_ASSIGN_OR_RETURN(
         PageHandle h, tree_->pool_->FetchPage(PageId{tree_->file_id_, page_no_}));
     Node node(h.data());
+    if (first_leaf) {
+      reposition =
+          !ResumesAt(node, pos_, bound_key_, bound_payload_, returned_);
+      first_leaf = false;
+    }
+    if (reposition) {
+      pos_ = ResumeSlot(node, bound_key_, bound_payload_, returned_);
+    }
     if (pos_ < node.nkeys()) {
-      std::string_view k = node.Key(static_cast<uint16_t>(pos_));
+      const uint16_t slot = static_cast<uint16_t>(pos_);
+      std::string_view k = node.Key(slot);
       key->assign(k.data(), k.size());
-      *payload = node.Payload(static_cast<uint16_t>(pos_));
+      *payload = node.Payload(slot);
+      bound_key_.assign(k.data(), k.size());
+      bound_payload_ = *payload;
+      returned_ = true;
       ++pos_;
       return true;
     }

@@ -40,6 +40,13 @@ class BTree {
   Result<bool> Contains(std::string_view key);
 
   /// Forward cursor over entries with key >= `lower` (byte order).
+  ///
+  /// Stays exact when the tree changes between two Next calls: the cursor
+  /// keeps its bound — the last returned (key, payload), or the Seek key
+  /// before the first Next — and when an insert, delete or split has moved
+  /// that bound off the slot before its position, it re-positions by binary
+  /// search to the first entry after the bound. No entry is skipped or
+  /// returned twice. While the tree is unchanged, no page fetch is added.
   class Cursor {
    public:
     /// Advances; returns false when the tree is exhausted.
@@ -51,6 +58,11 @@ class BTree {
     uint32_t page_no_ = 0;
     uint32_t pos_ = 0;
     bool done_ = true;
+    /// After (bound_key_, bound_payload_) once an entry was returned;
+    /// before that, at or after the Seek key bound_key_.
+    std::string bound_key_;
+    uint64_t bound_payload_ = 0;
+    bool returned_ = false;
   };
 
   /// Positions a cursor at the first entry with key >= `lower`.

@@ -431,7 +431,6 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
   }
   uint64_t rows = std::max<uint64_t>(1, RowCountOf(*t.table));
   seq.est_rows = std::max(1.0, sel_total * static_cast<double>(rows));
-  if (!options.enable_index_scan) return seq;
 
   AccessPath best = seq;
   double best_cost = -1.0;
@@ -620,58 +619,24 @@ std::vector<FilledRange> RangesFor(const BoundQuery& bq,
 
 SubqueryRunnerImpl::~SubqueryRunnerImpl() = default;
 
-void SubqueryRunnerImpl::BindExecution(BufferPool* pool, SimClock* clock,
-                                       const std::vector<Value>* params,
-                                       size_t work_mem, int dop,
-                                       size_t batch_rows,
-                                       uint64_t statement_epoch) {
-  pool_ = pool;
-  clock_ = clock;
-  params_ = params;
-  work_mem_ = work_mem;
-  dop_ = dop;
-  batch_rows_ = batch_rows < 1 ? 1 : batch_rows;
-  statement_epoch_ = statement_epoch;
+void SubqueryRunnerImpl::Bind(const ExecContext& ctx) {
+  ctx_ = ctx;
   for (auto& cs : subqueries) {
     cs->scalar_cached = false;
     cs->exists_cached = false;
     cs->in_set_cached = false;
     cs->in_set.clear();
     cs->in_set_has_null = false;
-    if (cs->runner != nullptr) {
-      cs->runner->BindExecution(pool, clock, params, work_mem, dop,
-                                batch_rows, statement_epoch);
-    }
-  }
-  // Reset per statement; the caller re-binds via BindMvcc when the
-  // statement reads under a snapshot.
-  mvcc_ = nullptr;
-  snapshot_ = nullptr;
-}
-
-void SubqueryRunnerImpl::BindMvcc(txn::MvccManager* mvcc,
-                                  const txn::Snapshot* snapshot) {
-  mvcc_ = mvcc;
-  snapshot_ = snapshot;
-  for (auto& cs : subqueries) {
-    if (cs->runner != nullptr) cs->runner->BindMvcc(mvcc, snapshot);
+    if (cs->runner != nullptr) cs->runner->Bind(ctx);
   }
 }
 
 ExecContext SubqueryRunnerImpl::MakeContext(CompiledSubquery* cs,
-                                            const Row* outer) {
-  ExecContext ctx;
-  ctx.pool = pool_;
-  ctx.clock = clock_;
-  ctx.params = params_;
+                                            const Row* outer) const {
+  ExecContext ctx = ctx_;
   ctx.subqueries = cs->runner.get();
   ctx.outer_row = outer;
-  ctx.work_mem_bytes = work_mem_;
-  ctx.dop = dop_;
-  ctx.batch_size = batch_rows_;
-  ctx.statement_epoch = statement_epoch_;
-  ctx.mvcc = mvcc_;
-  ctx.snapshot = snapshot_;
+  ctx.totals = nullptr;
   return ctx;
 }
 
@@ -739,7 +704,7 @@ Status SubqueryRunnerImpl::RunInProbe(size_t idx, const Row* outer,
     if (!cs->in_set_cached) {
       ExecContext ctx = MakeContext(cs, nullptr);
       R3_RETURN_IF_ERROR(cs->root->Open(&ctx));
-      cs->scratch.Reset(batch_rows_);  // full drain: batch freely
+      cs->scratch.Reset(ctx_.batch_size);  // full drain: batch freely
       while (true) {
         R3_ASSIGN_OR_RETURN(bool ok, cs->root->NextBatch(&cs->scratch));
         if (!ok) break;
@@ -812,7 +777,7 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
   const CostModel& cost = DefaultCostModel();
   EstimationContext est;
   est.v2 = options_.bind_peeking;
-  est.peeked = options_.bind_peeking ? options_.peeked_params : nullptr;
+  est.peeked = options_.bind_peeking ? peeked_ : nullptr;
 
   // 0. Compile subqueries (recursively) into the runner.
   auto runner = std::make_unique<SubqueryRunnerImpl>();

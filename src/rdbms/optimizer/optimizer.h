@@ -23,20 +23,13 @@ struct PlannerOptions {
   /// (Section 4.1 / Table 6). False falls back to a sequential scan.
   bool blind_prefers_index = true;
 
-  /// Sort/aggregate memory budget (spills charge simulated I/O).
-  size_t work_mem_bytes = 4u << 20;
-
-  /// Master switch for secondary-index access paths (benches use this for
-  /// ablations).
-  bool enable_index_scan = true;
-
   /// Master switch for index-nested-loops joins.
   bool enable_index_nl_join = true;
 
   /// Degree of intra-query parallelism plans may use (1 = serial plans
   /// only). Parallel plans fix their lane count at plan time, so results
   /// and simulated times depend on this value, not on the executing
-  /// machine.
+  /// machine. Database::set_dop() changes it on a live database.
   int dop = 1;
 
   /// Minimum estimated base-table cardinality before a parallel (Gather)
@@ -49,11 +42,6 @@ struct PlannerOptions {
   /// default) keeps every plan, estimate, and simulated time byte-identical
   /// to the pre-v2 optimizer; the Table 6 blindness repro stays intact.
   bool bind_peeking = false;
-
-  /// The actual bind values visible to the planner when `bind_peeking` is
-  /// on (null = none). Set transiently per compile by the plan-variant
-  /// cache; parameterized predicates are then estimated like literals.
-  const std::vector<Value>* peeked_params = nullptr;
 };
 
 /// Selectivity-bucket classification for the parameter-sensitive plan
@@ -99,36 +87,21 @@ class SubqueryRunnerImpl : public SubqueryRunner {
   Status RunInProbe(size_t idx, const Row* outer, const Value& probe,
                     Value* out) override;
 
-  /// Points the runner (recursively) at the current execution's context
-  /// pieces and clears value caches. Call once per statement execution.
-  /// `dop` is the worker-thread budget forwarded to subquery ExecContexts;
-  /// `batch_rows` the RowBatch capacity for subquery pulls;
-  /// `statement_epoch` stamps subquery ExecContexts so cached plans reset
-  /// their operator stats per top-level statement.
-  void BindExecution(BufferPool* pool, SimClock* clock,
-                     const std::vector<Value>* params, size_t work_mem,
-                     int dop = 1, size_t batch_rows = kDefaultBatchRows,
-                     uint64_t statement_epoch = 0);
-
-  /// Points the runner (recursively) at the statement's MVCC context so
-  /// subquery scans apply the same snapshot-visibility rules as the main
-  /// plan. Call after BindExecution; both null = non-MVCC reads.
-  void BindMvcc(txn::MvccManager* mvcc, const txn::Snapshot* snapshot);
+  /// Gives the runner (recursively) the executing statement's context and
+  /// clears value caches. Call once per statement execution: subquery
+  /// plans then run with the statement's params, snapshot, batch size and
+  /// epoch.
+  void Bind(const ExecContext& ctx);
 
   std::vector<std::unique_ptr<CompiledSubquery>> subqueries;
 
  private:
-  ExecContext MakeContext(CompiledSubquery* cs, const Row* outer);
+  /// The statement's context with this subquery's runner and correlation
+  /// row; `totals` stays null, so EXPLAIN ANALYZE totals count top-level
+  /// operators only.
+  ExecContext MakeContext(CompiledSubquery* cs, const Row* outer) const;
 
-  BufferPool* pool_ = nullptr;
-  SimClock* clock_ = nullptr;
-  const std::vector<Value>* params_ = nullptr;
-  size_t work_mem_ = 4u << 20;
-  int dop_ = 1;
-  size_t batch_rows_ = kDefaultBatchRows;
-  uint64_t statement_epoch_ = 0;
-  txn::MvccManager* mvcc_ = nullptr;
-  const txn::Snapshot* snapshot_ = nullptr;
+  ExecContext ctx_;
 };
 
 struct CompiledSubquery {
@@ -199,10 +172,16 @@ struct PhysicalPlan {
 class Optimizer {
  public:
   /// `metrics` (null = GlobalMetrics()) receives `rdbms.optimizer.*`
-  /// counters for every plan produced.
+  /// counters for every plan produced. `peeked` (null = none) are the bind
+  /// values the planner sees when `options.bind_peeking` is on:
+  /// parameterized predicates are then estimated like literals.
   Optimizer(const Catalog* catalog, PlannerOptions options,
-            MetricsRegistry* metrics = nullptr)
-      : catalog_(catalog), options_(options), metrics_(metrics) {}
+            MetricsRegistry* metrics = nullptr,
+            const std::vector<Value>* peeked = nullptr)
+      : catalog_(catalog),
+        options_(options),
+        metrics_(metrics),
+        peeked_(peeked) {}
 
   /// Consumes the bound query and produces an executable plan.
   Result<PhysicalPlan> Plan(std::unique_ptr<BoundQuery> bq);
@@ -218,6 +197,7 @@ class Optimizer {
   const Catalog* catalog_;
   PlannerOptions options_;
   MetricsRegistry* metrics_;
+  const std::vector<Value>* peeked_;
 };
 
 }  // namespace rdbms

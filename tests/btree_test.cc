@@ -1,6 +1,7 @@
 // B+-tree tests: point ops, splits across many keys, duplicates (including
 // duplicates straddling leaf splits), range cursors, deletes, uniqueness,
-// and a randomized cross-check against std::multimap.
+// a randomized cross-check against std::multimap, and cursors that stay
+// exact while deletes and splits change the tree under them.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -189,6 +190,60 @@ TEST_F(BTreeTest, RandomizedAgainstMultimap) {
     EXPECT_EQ(all[i].first, k);
     ++i;
   }
+}
+
+TEST_F(BTreeTest, CursorResumesAfterDeletesUnderIt) {
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_OK(tree_->Insert(K(i), static_cast<uint64_t>(i)));
+  }
+  ASSERT_EQ(tree_->height(), 1);  // one leaf: every delete shifts the cursor
+  auto c = tree_->SeekFirst();
+  ASSERT_TRUE(c.ok());
+  std::string k;
+  uint64_t p = 0;
+  for (uint64_t want = 0; want < 3; ++want) {
+    ASSERT_TRUE(c.value().Next(&k, &p).value());
+    EXPECT_EQ(p, want);
+  }
+  // Delete a passed key and the key just returned: both sit before the
+  // cursor's slot and shift the rest of the leaf left.
+  ASSERT_OK(tree_->Delete(K(0), 0));
+  ASSERT_OK(tree_->Delete(K(2), 2));
+  std::vector<uint64_t> rest;
+  while (c.value().Next(&k, &p).value()) rest.push_back(p);
+  ASSERT_EQ(rest.size(), 97u);
+  for (size_t i = 0; i < rest.size(); ++i) EXPECT_EQ(rest[i], i + 3);
+
+  // A cursor that has not returned anything yet resumes at its Seek key.
+  auto s = tree_->Seek(K(50));
+  ASSERT_TRUE(s.ok());
+  ASSERT_OK(tree_->Delete(K(10), 10));
+  ASSERT_TRUE(s.value().Next(&k, &p).value());
+  EXPECT_EQ(p, 50u);
+}
+
+TEST_F(BTreeTest, CursorResumesAfterSplitOfItsLeaf) {
+  // 300 odd keys fit one leaf; the cursor stops after the first 200.
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_OK(tree_->Insert(K(2 * i + 1), static_cast<uint64_t>(2 * i + 1)));
+  }
+  ASSERT_EQ(tree_->height(), 1);
+  auto c = tree_->SeekFirst();
+  ASSERT_TRUE(c.ok());
+  std::string k;
+  uint64_t p = 0;
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(c.value().Next(&k, &p).value());
+  ASSERT_EQ(p, 399u);
+  // 300 even keys, all but 100 of them before the cursor, split its leaf.
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_OK(tree_->Insert(K(2 * i), static_cast<uint64_t>(2 * i)));
+  }
+  ASSERT_GT(tree_->height(), 1);
+  // Exactly the entries after key 399, each once, in order.
+  std::vector<uint64_t> rest;
+  while (c.value().Next(&k, &p).value()) rest.push_back(p);
+  ASSERT_EQ(rest.size(), 200u);
+  for (size_t i = 0; i < rest.size(); ++i) EXPECT_EQ(rest[i], i + 400);
 }
 
 TEST_F(BTreeTest, CountAndPages) {

@@ -440,6 +440,48 @@ TEST(MvccDatabaseTest, OpenCursorKeepsItsSnapshotAcrossAutocommitDml) {
   EXPECT_EQ(latest, (std::vector<int64_t>{1, 3, 4}));
 }
 
+TEST(MvccDatabaseTest, CursorSubqueriesReadUnderTheCursorSnapshot) {
+  DatabaseOptions opts;
+  opts.batch_rows = 1;
+  Database db(nullptr, opts);
+  ASSERT_OK(db.Execute("CREATE TABLE O (OK INTEGER)", {}, nullptr, nullptr));
+  // No index on IK: the subquery scans the heap, where the deleted rows
+  // live on as ghosts only a snapshot older than the delete resolves.
+  ASSERT_OK(db.Execute("CREATE TABLE I (IK INTEGER)", {}, nullptr, nullptr));
+  ASSERT_OK(db.EnableWal());  // turns MVCC on
+  for (int64_t v = 1; v <= 5; ++v) {
+    const std::string n = std::to_string(v);
+    ASSERT_OK(db.Execute("INSERT INTO O (OK) VALUES (" + n + ")", {}, nullptr,
+                         nullptr));
+    ASSERT_OK(db.Execute("INSERT INTO I (IK) VALUES (" + n + ")", {}, nullptr,
+                         nullptr));
+  }
+
+  const std::string sql =
+      "SELECT OK FROM O WHERE EXISTS (SELECT IK FROM I WHERE IK = OK)";
+  auto stmt = db.Prepare(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto cur = db.OpenCursor(stmt.value(), {});
+  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+  RowBatch batch(1);
+  auto first = cur.value().FetchBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value());
+  EXPECT_EQ(batch.row(0)[0].int_value(), 1);
+
+  ASSERT_OK(db.Execute("DELETE FROM I", {}, nullptr, nullptr));
+
+  // Each later EXISTS probe runs under the cursor's snapshot, not the
+  // current state: every inner row still matches.
+  std::vector<int64_t> rest = CollectInts(&db, &cur.value());
+  EXPECT_EQ(rest, (std::vector<int64_t>{2, 3, 4, 5}));
+  ASSERT_OK(cur.value().Close());
+
+  auto now = db.Query(sql);
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  EXPECT_TRUE(now.value().rows.empty());
+}
+
 TEST(MvccDatabaseTest, TxnRollbackRevertsVersionMap) {
   Database db;
   ASSERT_OK(db.Execute("CREATE TABLE T (A INTEGER)", {}, nullptr, nullptr));
@@ -540,6 +582,34 @@ TEST(MvccIndexAsymmetryTest, EagerIndexDeletesMissGhostsByDefault) {
   std::vector<int64_t> rest = CollectInts(&db, &range_cur.value());
   EXPECT_EQ(rest, (std::vector<int64_t>{3, 4, 11}));
   EXPECT_EQ(alt_reads->Value(), alt_reads_before);
+}
+
+TEST(MvccIndexAsymmetryTest, RangeCursorResumesAfterDeleteOfPassedKey) {
+  DatabaseOptions opts;
+  opts.batch_rows = 1;
+  Database db(nullptr, opts);
+  symmetry::BuildIndexedTable(&db);
+
+  const std::string range_sql = "SELECT A FROM T WHERE A < 12";
+  auto plan = db.Explain(range_sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan.value().find("IndexScan"), std::string::npos) << plan.value();
+  auto stmt = db.Prepare(range_sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto cur = db.OpenCursor(stmt.value(), {});
+  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+  RowBatch batch(1);
+  auto first = cur.value().FetchBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value());
+  EXPECT_EQ(batch.row(0)[0].int_value(), 1);
+
+  // Deleting the key the cursor already returned shifts its B-tree leaf
+  // left; the cursor must still resume at the next surviving key.
+  ASSERT_OK(db.Execute("DELETE FROM T WHERE A = 1", {}, nullptr, nullptr));
+
+  std::vector<int64_t> rest = CollectInts(&db, &cur.value());
+  EXPECT_EQ(rest, (std::vector<int64_t>{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 }  // namespace

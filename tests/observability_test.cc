@@ -879,7 +879,8 @@ TEST(ObservabilityDeterminismTest, TraceAndCountersInvariantAcrossThreadsAndBatc
   constexpr double kSf = 0.002;
   MetricsRegistry registry;
   rdbms::DatabaseOptions db_opts;
-  db_opts.dop = 2;  // fixed plan-lane count: parallel plans in every run
+  // Fixed plan-lane count: parallel plans in every run.
+  db_opts.planner.dop = 2;
   db_opts.planner.parallel_threshold_rows = 500;
   db_opts.metrics = &registry;
   rdbms::Database db(nullptr, db_opts);

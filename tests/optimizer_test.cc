@@ -154,18 +154,6 @@ TEST_F(PlanTest, DistinctAndLimitAppearInPlan) {
   EXPECT_NE(plan.find("Limit"), std::string::npos);
 }
 
-TEST_F(PlanTest, DisablingIndexScansForcesSeqScan) {
-  DatabaseOptions opts;
-  opts.planner.enable_index_scan = false;
-  Database db2(nullptr, opts);
-  ASSERT_OK(db2.Execute("CREATE TABLE t (a INT, PRIMARY KEY (a))"));
-  ASSERT_OK(db2.Execute("INSERT INTO t VALUES (1), (2), (3)"));
-  ASSERT_OK(db2.Execute("ANALYZE"));
-  auto plan = db2.Explain("SELECT a FROM t WHERE a = 2");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan.value().find("SeqScan"), std::string::npos);
-}
-
 TEST_F(PlanTest, BlindHeuristicCanBeDisabled) {
   DatabaseOptions opts;
   opts.planner.blind_prefers_index = false;

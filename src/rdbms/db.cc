@@ -93,7 +93,7 @@ Status Database::SimulateCrash() {
   txn_mgr_->ResetAfterCrash();
   R3_RETURN_IF_ERROR(pool_->DropAllNoFlush());
   if (txn_mgr_->wal() != nullptr) txn_mgr_->wal()->DropUnflushed();
-  prepared_.clear();
+  FlushPlanCaches();
   // Engines without WAL backing (columnar) are memory-resident: a crash
   // empties them, and their indexes with them. Recovery never visits these
   // files — a warehouse re-extracts its tables instead.
@@ -219,13 +219,17 @@ void Database::set_dop(int dop) {
   if (dop == options_.planner.dop) return;
   options_.planner.dop = dop;
   // Cached plans embed the old lane count; recompile on next use.
-  prepared_.clear();
+  FlushPlanCaches();
 }
 
 void Database::set_bind_peeking(bool on) {
   if (on == options_.planner.bind_peeking) return;
   options_.planner.bind_peeking = on;
   // Cached plans embed the peeking decision; recompile on next use.
+  FlushPlanCaches();
+}
+
+void Database::FlushPlanCaches() {
   prepared_.clear();
   peeked_prepared_.clear();
 }
@@ -391,7 +395,7 @@ Status Database::Execute(const std::string& sql,
                                               stmt.create_view->select_sql));
       break;
     case Statement::Kind::kDrop:
-      prepared_.clear();  // plans may reference the dropped object
+      FlushPlanCaches();  // plans may reference the dropped object
       switch (stmt.drop->target) {
         case DropStmt::Target::kTable:
           R3_RETURN_IF_ERROR(catalog_->DropTable(stmt.drop->name));

@@ -371,6 +371,11 @@ class Database {
              const SimTimer& timer, QueryResult* result,
              ExecContext::Totals* totals = nullptr);
 
+  /// Drops every cached plan: the plain cache and every bind-peeking
+  /// variant. Called wherever a cached plan may have gone stale (DROP,
+  /// crash, DOP or peeking change).
+  void FlushPlanCaches();
+
   /// Effective OS-thread budget for parallel fragments.
   int EffectiveExecThreads() const {
     return options_.exec_threads > 0 ? options_.exec_threads

@@ -188,11 +188,7 @@ Status SeqScanOp::BuildScanSpec(ExecContext* ctx, ScanSpec* spec) const {
   spec->snapshot = ctx->snapshot;
   spec->offset = offset_;
   spec->wide_width = wide_width_;
-  if (needed_cols_.has_value()) {
-    spec->all_columns = false;
-    spec->needed_cols = *needed_cols_;
-    SortUnique(&spec->needed_cols);
-  }
+  spec->needed_cols = needed_cols_;
   if (table_->storage->kind() == EngineKind::kRowHeap) return Status::OK();
   // Columnar extras: which columns the filters read (charging), and which
   // string-equality predicates can pre-filter on dictionary codes. A
@@ -282,13 +278,15 @@ std::string SeqScanOp::Describe(bool analyze) const {
 
 IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
                          size_t offset, size_t wide_width, IndexBounds bounds,
-                         std::vector<const Expr*> residual_filters)
+                         std::vector<const Expr*> residual_filters,
+                         std::optional<std::vector<size_t>> needed_cols)
     : table_(table),
       index_(index),
       offset_(offset),
       wide_width_(wide_width),
       bounds_(std::move(bounds)),
-      filters_(std::move(residual_filters)) {}
+      filters_(std::move(residual_filters)),
+      needed_cols_(std::move(needed_cols)) {}
 
 Status IndexScanOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
@@ -418,12 +416,10 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
           bool visible,
           MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
       if (!visible) continue;  // row created after this statement's snapshot
-      R3_RETURN_IF_ERROR(DeserializeRow(table_->schema, rec_, &table_row_));
       Row& wide = out->AppendRow();
       wide.assign(wide_width_, Value::Null());
-      for (size_t i = 0; i < table_row_.size(); ++i) {
-        wide[offset_ + i] = std::move(table_row_[i]);
-      }
+      R3_RETURN_IF_ERROR(DecodeRowInto(table_->schema, rec_, needed_cols_,
+                                       offset_, &wide));
     }
     if (!filters_.empty() && out->size() > first) {
       R3_RETURN_IF_ERROR(

@@ -186,14 +186,14 @@ Result<bool> MvccFetchRow(const ExecContext& ctx, const TableInfo* table,
 /// step, releasing any page pin before filters run so predicates with
 /// subqueries cannot pile up pins.
 ///
-/// `needed_cols` (table-local indices) is the optimizer's projection set;
-/// a columnar cursor decodes only those columns. Empty optional = all
-/// columns. The row engine always materializes full rows either way.
+/// `needed_cols` (table-local indices, ascending) is the optimizer's
+/// projection set: every engine decodes only those columns and leaves the
+/// table's other positions NULL. Empty optional = all columns.
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(const TableInfo* table, size_t offset, size_t wide_width,
             std::vector<const Expr*> filters,
-            std::optional<std::vector<size_t>> needed_cols = std::nullopt);
+            std::optional<std::vector<size_t>> needed_cols);
 
   size_t OutputWidth() const override { return wide_width_; }
   std::string Describe(bool analyze) const override;
@@ -251,12 +251,14 @@ struct IndexBounds {
 };
 
 /// Index range scan + heap fetch; the random fetches charge the cost model
-/// through the buffer pool (the Table 6 effect).
+/// through the buffer pool (the Table 6 effect). Decodes only `needed_cols`
+/// of each fetched row, like SeqScanOp.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, size_t offset,
               size_t wide_width, IndexBounds bounds,
-              std::vector<const Expr*> residual_filters);
+              std::vector<const Expr*> residual_filters,
+              std::optional<std::vector<size_t>> needed_cols);
 
   size_t OutputWidth() const override { return wide_width_; }
   std::string Describe(bool analyze) const override;
@@ -277,12 +279,12 @@ class IndexScanOp : public Operator {
   size_t wide_width_;
   IndexBounds bounds_;
   std::vector<const Expr*> filters_;
+  std::optional<std::vector<size_t>> needed_cols_;
   ExecContext* ctx_ = nullptr;
   std::unique_ptr<BTree::Cursor> cursor_;
   std::string stop_key_;  ///< exclusive upper bound ("" = none)
   bool done_ = false;
   std::string rec_;  // heap-fetch scratch
-  Row table_row_;
   SelVector sel_;
   /// Multi-range execution state: encoded (start, stop) per range, sorted
   /// and merged at Open; `next_range_` is the next one to seek.
@@ -419,11 +421,14 @@ struct FilledRange {
 };
 
 /// Hash join: builds on `build`, probes with `probe`, merging wide rows.
-/// With `preserve_probe` (left-outer semantics where the probe side is the
-/// preserved side), probe rows without a match are emitted with the build
-/// ranges left NULL. `est_build_rows` (0 = unknown) pre-sizes the hash table
-/// from the optimizer's cardinality estimate. When the build child is a
-/// GatherOp, the table is built by its worker pool (partitioned build).
+/// The hash table keeps only the values of `build_ranges` of each build row,
+/// packed (see PackRanges), and merges them back into a copy of the probe
+/// row. With `preserve_probe` (left-outer semantics where the probe side is
+/// the preserved side), probe rows without a match are emitted with the
+/// build ranges left NULL. `est_build_rows` (0 = unknown) pre-sizes the
+/// hash table from the optimizer's cardinality estimate. When the build
+/// child is a GatherOp, the table is built by its worker pool (partitioned
+/// build).
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, OperatorPtr probe,
@@ -452,7 +457,7 @@ class HashJoinOp : public Operator {
   uint64_t est_build_rows_;
 
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<std::string, std::vector<Row>> table_;
+  std::unordered_map<std::string, std::vector<Row>> table_;  ///< packed rows
   std::string key_scratch_;
   RowBatch probe_batch_;
   size_t probe_pos_ = 0;
@@ -465,14 +470,16 @@ class HashJoinOp : public Operator {
 
 /// Index nested-loops join: for each left row, evaluates the key
 /// expressions and probes `index`, fetching matching heap rows of `table`
-/// into the wide row. One round of random I/O per probe — the expensive
-/// pattern the paper's 2.2 Open SQL reports exhibit server-side.
+/// into the wide row (only `needed_cols` of them, like SeqScanOp). One
+/// round of random I/O per probe — the expensive pattern the paper's 2.2
+/// Open SQL reports exhibit server-side.
 class IndexNLJoinOp : public Operator {
  public:
   IndexNLJoinOp(OperatorPtr left, const TableInfo* table,
                 const IndexInfo* index, size_t table_offset,
                 std::vector<const Expr*> key_exprs,
-                std::vector<const Expr*> residual, bool preserve_left);
+                std::vector<const Expr*> residual, bool preserve_left,
+                std::optional<std::vector<size_t>> needed_cols);
 
   size_t OutputWidth() const override { return left_->OutputWidth(); }
   std::string Describe(bool analyze) const override;
@@ -493,6 +500,7 @@ class IndexNLJoinOp : public Operator {
   std::vector<const Expr*> key_exprs_;
   std::vector<const Expr*> residual_;
   bool preserve_left_;
+  std::optional<std::vector<size_t>> needed_cols_;
 
   ExecContext* ctx_ = nullptr;
   RowBatch left_batch_;
@@ -504,7 +512,6 @@ class IndexNLJoinOp : public Operator {
   std::string stop_key_;  ///< per-probe upper bound, computed once per probe
   bool emitted_for_left_ = false;
   std::string rec_;  // heap-fetch scratch
-  Row inner_row_;
 };
 
 /// Nested-loops join over a materialized right side, with an arbitrary
@@ -617,6 +624,11 @@ std::string ValuesKey(const std::vector<Value>& values);
 /// Shared by HashJoinOp and the parallel partitioned join build.
 Status EvalJoinKey(const std::vector<const Expr*>& keys, const EvalContext& ec,
                    std::string* out, bool* null_key);
+
+/// Moves the values of `ranges` out of a wide row into one packed row: the
+/// ranges' values concatenated in order. A hash-join build stores only
+/// these; shared by HashJoinOp and the parallel partitioned join build.
+Row PackRanges(const std::vector<FilledRange>& ranges, Row* wide);
 
 }  // namespace rdbms
 }  // namespace r3

@@ -23,6 +23,15 @@ std::string Indent(const std::string& s) {
   return out;
 }
 
+/// Copies a packed build row (see PackRanges) back into its ranges of `dst`.
+void MergePacked(const Row& packed, const std::vector<FilledRange>& ranges,
+                 Row* dst) {
+  size_t k = 0;
+  for (const FilledRange& r : ranges) {
+    for (size_t i = 0; i < r.width; ++i) (*dst)[r.offset + i] = packed[k++];
+  }
+}
+
 void MergeRanges(const Row& src, const std::vector<FilledRange>& ranges,
                  Row* dst) {
   for (const FilledRange& r : ranges) {
@@ -64,6 +73,19 @@ Status EvalJoinKey(const std::vector<const Expr*>& keys, const EvalContext& ec,
   return Status::OK();
 }
 
+Row PackRanges(const std::vector<FilledRange>& ranges, Row* wide) {
+  size_t width = 0;
+  for (const FilledRange& r : ranges) width += r.width;
+  Row packed;
+  packed.reserve(width);
+  for (const FilledRange& r : ranges) {
+    for (size_t i = 0; i < r.width; ++i) {
+      packed.push_back(std::move((*wide)[r.offset + i]));
+    }
+  }
+  return packed;
+}
+
 // ---------------------------------------------------------------------------
 // HashJoinOp
 // ---------------------------------------------------------------------------
@@ -102,8 +124,8 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   // (partitioned build); the serial path drains the child batch by batch
   // (probe_batch_ doubles as the drain scratch until probing starts).
   if (auto* gather = dynamic_cast<GatherOp*>(build_.get())) {
-    R3_RETURN_IF_ERROR(
-        gather->BuildJoinTable(ctx, build_keys_, &table_, est_build_rows_));
+    R3_RETURN_IF_ERROR(gather->BuildJoinTable(ctx, build_keys_, build_ranges_,
+                                              &table_, est_build_rows_));
     return probe_->Open(ctx);
   }
   R3_RETURN_IF_ERROR(build_->Open(ctx));
@@ -119,7 +141,8 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       R3_RETURN_IF_ERROR(
           EvalJoinKey(build_keys_, ec, &key_scratch_, &null_key));
       if (null_key) continue;
-      table_[key_scratch_].push_back(std::move(probe_batch_.row(i)));
+      table_[key_scratch_].push_back(
+          PackRanges(build_ranges_, &probe_batch_.row(i)));
     }
   }
   R3_RETURN_IF_ERROR(build_->Close());
@@ -163,7 +186,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
         if (out->full()) return true;
         Row& candidate = out->AppendRow();
         candidate = probe_row;
-        MergeRanges((*matches_)[match_pos_], build_ranges_, &candidate);
+        MergePacked((*matches_)[match_pos_], build_ranges_, &candidate);
         ++match_pos_;
         ec.row = &candidate;
         R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
@@ -213,14 +236,16 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr left, const TableInfo* table,
                              const IndexInfo* index, size_t table_offset,
                              std::vector<const Expr*> key_exprs,
                              std::vector<const Expr*> residual,
-                             bool preserve_left)
+                             bool preserve_left,
+                             std::optional<std::vector<size_t>> needed_cols)
     : left_(std::move(left)),
       table_(table),
       index_(index),
       table_offset_(table_offset),
       key_exprs_(std::move(key_exprs)),
       residual_(std::move(residual)),
-      preserve_left_(preserve_left) {}
+      preserve_left_(preserve_left),
+      needed_cols_(std::move(needed_cols)) {}
 
 Status IndexNLJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
@@ -292,12 +317,10 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
           bool visible,
           MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
       if (!visible) continue;  // row created after this statement's snapshot
-      R3_RETURN_IF_ERROR(DeserializeRow(table_->schema, rec_, &inner_row_));
       Row& candidate = out->AppendRow();
-      candidate = left_row;
-      for (size_t i = 0; i < inner_row_.size(); ++i) {
-        candidate[table_offset_ + i] = std::move(inner_row_[i]);
-      }
+      candidate = left_row;  // the inner table's positions are NULL here
+      R3_RETURN_IF_ERROR(DecodeRowInto(table_->schema, rec_, needed_cols_,
+                                       table_offset_, &candidate));
       ec.row = &candidate;
       R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
       if (pass) {

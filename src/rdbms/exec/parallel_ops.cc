@@ -37,24 +37,28 @@ size_t CappedReserve(uint64_t est) {
 }  // namespace
 
 GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
-                   std::vector<const Expr*> filters, int dop,
+                   std::vector<const Expr*> filters,
+                   std::optional<std::vector<size_t>> needed_cols, int dop,
                    uint64_t est_rows)
     : table_(table),
       offset_(offset),
       wide_width_(wide_width),
       filters_(std::move(filters)),
+      needed_cols_(std::move(needed_cols)),
       dop_(dop < 1 ? 1 : dop),
       est_rows_(est_rows),
       mode_(Mode::kRows) {}
 
 GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
-                   std::vector<const Expr*> filters, int dop,
+                   std::vector<const Expr*> filters,
+                   std::optional<std::vector<size_t>> needed_cols, int dop,
                    uint64_t est_rows, std::vector<const Expr*> group_exprs,
                    std::vector<const Expr*> agg_calls)
     : table_(table),
       offset_(offset),
       wide_width_(wide_width),
       filters_(std::move(filters)),
+      needed_cols_(std::move(needed_cols)),
       dop_(dop < 1 ? 1 : dop),
       est_rows_(est_rows),
       mode_(Mode::kPartialAgg),
@@ -90,13 +94,10 @@ Status GatherOp::ScanMorsel(
   std::vector<std::pair<uint16_t, std::string>> ghosts;
   // Appends one record to the lane's batch, flushing at capacity.
   auto append_rec = [&](std::string_view rec) -> Status {
-    R3_RETURN_IF_ERROR(
-        DeserializeRow(table_->schema, rec, &scratch->table_row));
     Row& wide = batch.AppendRow();
     wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < scratch->table_row.size(); ++i) {
-      wide[offset_ + i] = std::move(scratch->table_row[i]);
-    }
+    R3_RETURN_IF_ERROR(DecodeRowInto(table_->schema, rec, needed_cols_,
+                                     offset_, &wide));
     if (batch.full()) {
       R3_RETURN_IF_ERROR(FilterTail(ctx, &ec, scratch));
       if (batch.full()) {  // every held row survived: hand off
@@ -313,11 +314,12 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
 
 Status GatherOp::BuildJoinTable(
     ExecContext* ctx, const std::vector<const Expr*>& keys,
+    const std::vector<FilledRange>& ranges,
     std::unordered_map<std::string, std::vector<Row>>* table,
     uint64_t est_build_rows) {
-  // Lanes do the scan + key evaluation; each morsel collects its (key, row)
-  // pairs privately, and the barrier inserts them in morsel order — the
-  // exact order the serial build would have used.
+  // Lanes do the scan, key evaluation and packing; each morsel collects its
+  // (key, packed row) pairs privately, and the barrier inserts them in
+  // morsel order — the exact order the serial build would have used.
   std::vector<std::vector<std::pair<std::string, Row>>> pairs;
   std::vector<std::string> key_scratch(static_cast<size_t>(dop_));
 
@@ -338,7 +340,7 @@ Status GatherOp::BuildJoinTable(
           bool null_key = false;
           R3_RETURN_IF_ERROR(EvalJoinKey(keys, ec, &key, &null_key));
           if (null_key) continue;
-          pairs[morsel].emplace_back(key, std::move(batch->row(r)));
+          pairs[morsel].emplace_back(key, PackRanges(ranges, &batch->row(r)));
         }
         return Status::OK();
       });

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,20 +48,27 @@ inline constexpr uint32_t kMorselPages = 16;
 ///
 /// A HashJoinOp whose build child is a GatherOp instead calls
 /// BuildJoinTable(): lanes evaluate build keys in parallel and the barrier
-/// inserts (key, row) pairs in morsel order — the serial insertion order.
+/// inserts (key, packed row) pairs in morsel order — the serial insertion
+/// order.
+///
+/// Like SeqScanOp, the lanes decode only `needed_cols` (table-local,
+/// ascending; empty optional = all columns) of each record.
 class GatherOp : public Operator {
  public:
   enum class Mode { kRows, kPartialAgg };
 
   /// Parallel scan+filter (Mode::kRows).
   GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
-           std::vector<const Expr*> filters, int dop, uint64_t est_rows);
+           std::vector<const Expr*> filters,
+           std::optional<std::vector<size_t>> needed_cols, int dop,
+           uint64_t est_rows);
 
   /// Parallel partial aggregation (Mode::kPartialAgg). Output rows are
   /// [group values..., aggregate results...] like HashAggOp.
   GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
-           std::vector<const Expr*> filters, int dop, uint64_t est_rows,
-           std::vector<const Expr*> group_exprs,
+           std::vector<const Expr*> filters,
+           std::optional<std::vector<size_t>> needed_cols, int dop,
+           uint64_t est_rows, std::vector<const Expr*> group_exprs,
            std::vector<const Expr*> agg_calls);
 
   size_t OutputWidth() const override;
@@ -70,10 +78,11 @@ class GatherOp : public Operator {
   int dop() const { return dop_; }
 
   /// Partitioned hash-join build (called by HashJoinOp instead of Open).
-  /// Scans in parallel, evaluates `keys` per surviving row in the worker
-  /// lanes, and fills `*table` in morsel order. Rows with NULL keys are
-  /// dropped (SQL equi-join semantics).
+  /// Scans in parallel, evaluates `keys` and packs `ranges` (PackRanges) per
+  /// surviving row in the worker lanes, and fills `*table` in morsel order.
+  /// Rows with NULL keys are dropped (SQL equi-join semantics).
   Status BuildJoinTable(ExecContext* ctx, const std::vector<const Expr*>& keys,
+                        const std::vector<FilledRange>& ranges,
                         std::unordered_map<std::string, std::vector<Row>>* table,
                         uint64_t est_build_rows);
 
@@ -93,7 +102,6 @@ class GatherOp : public Operator {
     RowBatch batch;          // filled rows awaiting hand-off
     size_t tail_first = 0;   // start of the not-yet-filtered tail
     SelVector sel;
-    Row table_row;
   };
 
   /// Runs the parallel region: partitions the heap into morsels, executes
@@ -119,6 +127,7 @@ class GatherOp : public Operator {
   size_t offset_;
   size_t wide_width_;
   std::vector<const Expr*> filters_;
+  std::optional<std::vector<size_t>> needed_cols_;
   int dop_;
   uint64_t est_rows_;
   Mode mode_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/cost_model.h"
@@ -601,12 +602,22 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
   return best;
 }
 
-std::vector<FilledRange> RangesFor(const BoundQuery& bq,
-                                   const std::set<size_t>& tables) {
+/// The wide-row ranges a join's inner side fills for table `t`: the runs of
+/// its projected columns, or its whole column range without a projection.
+std::vector<FilledRange> RangesFor(
+    const BoundQuery& bq, size_t t,
+    const std::optional<std::vector<size_t>>& needed) {
+  const size_t offset = bq.tables[t].offset;
+  if (!needed.has_value()) {
+    return {FilledRange{offset, bq.tables[t].table->schema.NumColumns()}};
+  }
   std::vector<FilledRange> out;
-  for (size_t t : tables) {
-    out.push_back(FilledRange{bq.tables[t].offset,
-                              bq.tables[t].table->schema.NumColumns()});
+  for (size_t c : *needed) {
+    if (!out.empty() && out.back().offset + out.back().width == offset + c) {
+      ++out.back().width;
+    } else {
+      out.push_back(FilledRange{offset + c, 1});
+    }
   }
   return out;
 }
@@ -849,6 +860,27 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
     return RowCountOf(*ref.table) >= options_.parallel_threshold_rows;
   };
 
+  // Projection sets: per table, the local columns any expression of this
+  // query level reads (ascending). Every scan decodes only these and leaves
+  // the table's other wide-row positions NULL. A level with subqueries
+  // decodes every column: a deeply nested correlation could reference a
+  // position no top-level walk sees, and the columnar engine charges per
+  // decoded column, so its simulated times depend on this set.
+  std::vector<std::optional<std::vector<size_t>>> needed(bq->tables.size());
+  if (bq->subqueries.empty()) {
+    std::set<size_t> positions;
+    ForEachExprOfQuery(
+        *bq, [&](const Expr& e) { CollectPositions(e, *bq, &positions); });
+    for (size_t t = 0; t < bq->tables.size(); ++t) {
+      const size_t offset = bq->tables[t].offset;
+      const size_t ncols = bq->tables[t].table->schema.NumColumns();
+      std::vector<size_t>& local = needed[t].emplace();
+      for (size_t p : positions) {
+        if (p >= offset && p < offset + ncols) local.push_back(p - offset);
+      }
+    }
+  }
+
   auto make_scan = [&](size_t t) -> OperatorPtr {
     const TableCandidate& cand = cands[t];
     const BoundTableRef& ref = bq->tables[t];
@@ -863,39 +895,20 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
     if (cand.path.index != nullptr) {
       auto op = std::make_unique<IndexScanOp>(ref.table, cand.path.index,
                                               ref.offset, bq->wide_width,
-                                              cand.path.bounds, residual);
+                                              cand.path.bounds, residual,
+                                              needed[t]);
       op->set_est_rows(scan_est);
       return op;
     }
     if (parallel_eligible(t)) {
       auto op = std::make_unique<GatherOp>(ref.table, ref.offset,
                                            bq->wide_width, residual,
-                                           options_.dop, scan_est);
+                                           needed[t], options_.dop, scan_est);
       op->set_est_rows(scan_est);
       return op;
     }
-    // Projection set for engines that materialize lazily: every wide-row
-    // position any expression of this query level reads, rebased to the
-    // table. With subqueries present fall back to all columns — a deeply
-    // nested correlation could reference a position no top-level walk sees.
-    std::optional<std::vector<size_t>> needed;
-    if (ref.table->storage->kind() != EngineKind::kRowHeap &&
-        bq->subqueries.empty()) {
-      std::set<size_t> positions;
-      ForEachExprOfQuery(
-          *bq, [&](const Expr& e) { CollectPositions(e, *bq, &positions); });
-      const size_t ncols = ref.table->schema.NumColumns();
-      std::vector<size_t> local;
-      for (size_t p : positions) {
-        if (p >= ref.offset && p < ref.offset + ncols) {
-          local.push_back(p - ref.offset);
-        }
-      }
-      needed = std::move(local);
-    }
     auto op = std::make_unique<SeqScanOp>(ref.table, ref.offset,
-                                          bq->wide_width, residual,
-                                          std::move(needed));
+                                          bq->wide_width, residual, needed[t]);
     op->set_est_rows(scan_est);
     return op;
   };
@@ -1198,25 +1211,23 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
         }
         tree = std::make_unique<IndexNLJoinOp>(std::move(tree), ref.table, idx,
                                                ref.offset, probe_exprs,
-                                               inl_residual, outer);
+                                               inl_residual, outer, needed[t]);
         built = true;
         break;
       }
     }
     if (!built && !t_keys.empty()) {
       // Hash join; t is the build side (its scan applies pushed filters).
-      std::set<size_t> t_set{t};
       tree = std::make_unique<HashJoinOp>(
           make_scan(t), std::move(tree), t_keys, s_keys, residual,
-          RangesFor(*bq, t_set), outer,
+          RangesFor(*bq, t, needed[t]), outer,
           static_cast<uint64_t>(std::max(0.0, cands[t].path.est_rows)));
       built = true;
     }
     if (!built) {
-      std::set<size_t> t_set{t};
-      tree = std::make_unique<NestedLoopsJoinOp>(std::move(tree), make_scan(t),
-                                                 residual, RangesFor(*bq, t_set),
-                                                 outer);
+      tree = std::make_unique<NestedLoopsJoinOp>(
+          std::move(tree), make_scan(t), residual,
+          RangesFor(*bq, t, needed[t]), outer);
     }
     // Estimated join output rows, for EXPLAIN ANALYZE drift reporting.
     tree->set_est_rows(static_cast<uint64_t>(std::max(1.0, best_result)));
@@ -1253,7 +1264,7 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
       filters.insert(filters.end(), leftover.begin(), leftover.end());
       tree = std::make_unique<GatherOp>(
           bq->tables[0].table, bq->tables[0].offset, bq->wide_width,
-          std::move(filters), options_.dop,
+          std::move(filters), needed[0], options_.dop,
           static_cast<uint64_t>(std::max(0.0, cands[0].path.est_rows)),
           groups, aggs);
     } else {

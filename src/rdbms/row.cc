@@ -89,65 +89,87 @@ Status SerializeRow(const Schema& schema, const Row& row, std::string* out) {
 }
 
 Status DeserializeRow(const Schema& schema, std::string_view data, Row* row) {
-  row->clear();
-  row->reserve(schema.NumColumns());
+  row->resize(schema.NumColumns());
+  return DecodeRowInto(schema, data, std::nullopt, 0, row);
+}
+
+Status DecodeRowInto(const Schema& schema, std::string_view data,
+                     const std::optional<std::vector<size_t>>& cols,
+                     size_t offset, Row* wide) {
   size_t pos = 0;
+  size_t next_col = 0;  // index into *cols of the next column to decode
   auto need = [&](size_t n) -> bool { return pos + n <= data.size(); };
   for (size_t i = 0; i < schema.NumColumns(); ++i) {
     const Column& col = schema.column(i);
+    const bool want = !cols.has_value() ||
+                      (next_col < cols->size() && (*cols)[next_col] == i);
+    if (want && cols.has_value()) ++next_col;
+    Value* out = want ? &(*wide)[offset + i] : nullptr;
     if (!need(1)) return Status::Internal("row truncated (null byte)");
     bool is_null = data[pos++] != 0;
     if (is_null) {
-      row->push_back(Value::Null(col.type));
+      if (out != nullptr) *out = Value::Null(col.type);
       continue;
     }
     switch (col.type) {
       case DataType::kBool:
         if (!need(1)) return Status::Internal("row truncated (bool)");
-        row->push_back(Value::Bool(data[pos++] != 0));
+        if (out != nullptr) *out = Value::Bool(data[pos] != 0);
+        pos += 1;
         break;
       case DataType::kInt64: {
         size_t w = col.length == 4 ? 4 : 8;
         if (!need(w)) return Status::Internal("row truncated (int)");
-        row->push_back(Value::Int(SignExtend(ReadFixedInt(data.data() + pos, w), w)));
+        if (out != nullptr) {
+          *out = Value::Int(SignExtend(ReadFixedInt(data.data() + pos, w), w));
+        }
         pos += w;
         break;
       }
       case DataType::kDouble: {
         if (!need(8)) return Status::Internal("row truncated (double)");
-        uint64_t bits = ReadFixedInt(data.data() + pos, 8);
+        if (out != nullptr) {
+          uint64_t bits = ReadFixedInt(data.data() + pos, 8);
+          double d;
+          std::memcpy(&d, &bits, 8);
+          *out = Value::Dbl(d);
+        }
         pos += 8;
-        double d;
-        std::memcpy(&d, &bits, 8);
-        row->push_back(Value::Dbl(d));
         break;
       }
       case DataType::kDecimal: {
         if (!need(8)) return Status::Internal("row truncated (decimal)");
-        row->push_back(Value::DecimalFromCents(
-            static_cast<int64_t>(ReadFixedInt(data.data() + pos, 8))));
+        if (out != nullptr) {
+          *out = Value::DecimalFromCents(
+              static_cast<int64_t>(ReadFixedInt(data.data() + pos, 8)));
+        }
         pos += 8;
         break;
       }
       case DataType::kDate: {
         if (!need(4)) return Status::Internal("row truncated (date)");
-        row->push_back(Value::Date(static_cast<int32_t>(
-            SignExtend(ReadFixedInt(data.data() + pos, 4), 4))));
+        if (out != nullptr) {
+          *out = Value::Date(static_cast<int32_t>(
+              SignExtend(ReadFixedInt(data.data() + pos, 4), 4)));
+        }
         pos += 4;
         break;
       }
       case DataType::kString: {
         if (col.length > 0) {
           if (!need(col.length)) return Status::Internal("row truncated (char)");
-          row->push_back(
-              Value::Str(str::RTrim(data.substr(pos, col.length))));
+          if (out != nullptr) {
+            *out = Value::Str(str::RTrim(data.substr(pos, col.length)));
+          }
           pos += col.length;
         } else {
           if (!need(2)) return Status::Internal("row truncated (varlen)");
           size_t len = ReadFixedInt(data.data() + pos, 2);
           pos += 2;
           if (!need(len)) return Status::Internal("row truncated (varchar)");
-          row->push_back(Value::Str(std::string(data.substr(pos, len))));
+          if (out != nullptr) {
+            *out = Value::Str(std::string(data.substr(pos, len)));
+          }
           pos += len;
         }
         break;

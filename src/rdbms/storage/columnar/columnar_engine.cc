@@ -52,15 +52,13 @@ class ColumnarScanCursor : public ScanCursor {
         snapshot_(spec.snapshot),
         offset_(spec.offset),
         wide_width_(spec.wide_width),
+        needed_cols_(spec.needed_cols),
         dict_eqs_(spec.dict_eqs) {
     const size_t ncols = engine_->schema_->NumColumns();
-    if (spec.all_columns) {
+    if (!spec.needed_cols.has_value()) {
       for (size_t c = 0; c < ncols; ++c) mat_cols_.push_back(c);
     } else {
-      mat_cols_ = spec.needed_cols;
-      std::sort(mat_cols_.begin(), mat_cols_.end());
-      mat_cols_.erase(std::unique(mat_cols_.begin(), mat_cols_.end()),
-                      mat_cols_.end());
+      mat_cols_ = *spec.needed_cols;
     }
     scan_cols_ = spec.filter_cols;
     std::sort(scan_cols_.begin(), scan_cols_.end());
@@ -236,17 +234,12 @@ class ColumnarScanCursor : public ScanCursor {
     }
   }
 
-  /// Materializes every column from a serialized record image (MVCC alt
-  /// versions and ghosts carry the whole row).
+  /// Materializes the needed columns from a serialized record image (MVCC
+  /// alt versions and ghosts carry the whole row).
   Status StageRecordRow(std::string_view rec) {
-    R3_RETURN_IF_ERROR(
-        DeserializeRow(*engine_->schema_, rec, &table_row_));
     Row& wide = staged_.emplace_back();
     wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < table_row_.size(); ++i) {
-      wide[offset_ + i] = std::move(table_row_[i]);
-    }
-    return Status::OK();
+    return DecodeRowInto(*engine_->schema_, rec, needed_cols_, offset_, &wide);
   }
 
   const ColumnarEngine* engine_;
@@ -254,6 +247,7 @@ class ColumnarScanCursor : public ScanCursor {
   const txn::Snapshot* snapshot_;
   size_t offset_;
   size_t wide_width_;
+  std::optional<std::vector<size_t>> needed_cols_;
   std::vector<ScanSpec::DictEq> dict_eqs_;
 
   std::vector<size_t> mat_cols_;
@@ -270,7 +264,6 @@ class ColumnarScanCursor : public ScanCursor {
   uint64_t byte_acc_ = 0;
   std::vector<Row> staged_;
   size_t stage_pos_ = 0;
-  Row table_row_;
   std::string alt_rec_;
   std::vector<std::pair<uint16_t, std::string>> ghosts_;
 };

@@ -1,5 +1,6 @@
 #include "rdbms/storage/row_heap_engine.h"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,8 @@ class RowHeapScanCursor : public ScanCursor {
         mvcc_(spec.mvcc),
         snapshot_(spec.snapshot),
         offset_(spec.offset),
-        wide_width_(spec.wide_width) {}
+        wide_width_(spec.wide_width),
+        needed_cols_(spec.needed_cols) {}
 
   Status BeginBatch() override {
     R3_ASSIGN_OR_RETURN(num_pages_, heap_->NumPages());
@@ -45,8 +47,7 @@ class RowHeapScanCursor : public ScanCursor {
       while (ghost_pos_ < pending_ghosts_.size() && !out->full()) {
         pool_->clock()->ChargeDbmsTuple();
         const std::string& rec = pending_ghosts_[ghost_pos_++].second;
-        R3_RETURN_IF_ERROR(DeserializeRow(*schema_, rec, &table_row_));
-        EmitWideRow(out);
+        R3_RETURN_IF_ERROR(EmitWideRow(rec, out));
       }
     } else if (page_no_ >= num_pages_) {
       return false;
@@ -71,8 +72,7 @@ class RowHeapScanCursor : public ScanCursor {
               continue;
           }
         }
-        R3_RETURN_IF_ERROR(DeserializeRow(*schema_, rec, &table_row_));
-        EmitWideRow(out);
+        R3_RETURN_IF_ERROR(EmitWideRow(rec, out));
       }
       if (slot_ >= page.slot_count()) {
         if (mvcc_active_) {
@@ -89,12 +89,10 @@ class RowHeapScanCursor : public ScanCursor {
   }
 
  private:
-  void EmitWideRow(RowBatch* out) {
+  Status EmitWideRow(std::string_view rec, RowBatch* out) {
     Row& wide = out->AppendRow();
     wide.assign(wide_width_, Value::Null());
-    for (size_t i = 0; i < table_row_.size(); ++i) {
-      wide[offset_ + i] = std::move(table_row_[i]);
-    }
+    return DecodeRowInto(*schema_, rec, needed_cols_, offset_, &wide);
   }
 
   BufferPool* pool_;
@@ -104,12 +102,12 @@ class RowHeapScanCursor : public ScanCursor {
   const txn::Snapshot* snapshot_;
   size_t offset_;
   size_t wide_width_;
+  std::optional<std::vector<size_t>> needed_cols_;
 
   uint32_t num_pages_ = 0;
   bool mvcc_active_ = false;
   uint32_t page_no_ = 0;
   uint32_t slot_ = 0;
-  Row table_row_;
   std::string alt_rec_;
   std::vector<std::pair<uint16_t, std::string>> pending_ghosts_;
   size_t ghost_pos_ = 0;

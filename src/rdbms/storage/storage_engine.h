@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,11 +55,10 @@ struct ScanSpec {
   const txn::Snapshot* snapshot = nullptr;   ///< null = no MVCC checks
   size_t offset = 0;
   size_t wide_width = 0;
-  /// Local column ids (0-based within the table) the consumer will actually
-  /// read; engines that can project (columnar) materialize only these.
-  /// `all_columns` true means materialize everything (row heap always does).
-  bool all_columns = true;
-  std::vector<size_t> needed_cols;
+  /// Local column ids (0-based within the table, ascending) the consumer
+  /// will actually read; every engine materializes only these and leaves
+  /// the rest of the table's positions NULL. Empty optional = every column.
+  std::optional<std::vector<size_t>> needed_cols;
   /// Local column ids referenced by the scan's filter predicates (subset of
   /// needed_cols); a columnar engine charges these as its "scan" columns.
   std::vector<size_t> filter_cols;
@@ -74,8 +74,9 @@ struct ScanSpec {
 };
 
 /// Pull-based batch scan over one table, produced by a StorageEngine. The
-/// cursor appends fully padded wide rows (table columns at `offset`, Nulls
-/// elsewhere) to the caller's RowBatch and owns all position state.
+/// cursor appends fully padded wide rows (the spec's needed columns at
+/// `offset`, Nulls elsewhere) to the caller's RowBatch and owns all position
+/// state.
 class ScanCursor {
  public:
   virtual ~ScanCursor() = default;

@@ -134,6 +134,9 @@ uint64_t LockManager::DetectDeadlockLocked(const Resource& res,
       // depend on thread timing — deterministic across runs.
       uint64_t victim = *std::max_element(path.begin(), path.end());
       victims_.insert(victim);
+      // Break the cycle now, not when the victim thread wakes: until then
+      // another waiter's wake-up would find (and count) the same cycle.
+      waits_for_.erase(victim);
       m_deadlock_aborts_->Increment();
       m_wait_deadlock_->Increment();
       if (clock_ != nullptr) {

@@ -6,6 +6,7 @@
 // matter how many tuples a FetchBatch call returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -286,6 +287,229 @@ TEST(BatchExecTest, ConnectionChargesTupleShipPerTuple) {
     EXPECT_EQ(conn.stats().rows_shipped, n);
     EXPECT_EQ(conn.stats().round_trips, 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Projected decode: scans decode only the columns a query level reads
+// ---------------------------------------------------------------------------
+
+// CUST and ORD carry columns no projected query below reads (CHAR, VARCHAR,
+// DATE, DECIMAL, and NULLs among them), so a projected decode that skipped
+// or misplaced a column would change an answer. ORD is large enough for a
+// parallel scan at DOP 4.
+std::unique_ptr<Database> MakeProjectionDb(DatabaseOptions opts,
+                                           const std::string& engine) {
+  auto db = std::make_unique<Database>(nullptr, opts);
+  const std::string clause = engine.empty() ? "" : " ENGINE=" + engine;
+  Status st = db->Execute(
+      "CREATE TABLE cust (ck INT, name CHAR(20), nation INT, note VARCHAR, "
+      "bal DECIMAL, PRIMARY KEY (ck))" + clause);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  st = db->Execute(
+      "CREATE TABLE ord (ok INT, ck INT, odate DATE, prio CHAR(12), "
+      "comment VARCHAR, total DECIMAL, PRIMARY KEY (ok))" + clause);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (int64_t c = 0; c < 300; ++c) {
+    st = db->InsertRow(
+        "cust",
+        Row{Value::Int(c), Value::Str("Customer#" + std::to_string(c)),
+            Value::Int(c % 25),
+            c % 7 == 0 ? Value::Null(DataType::kString)
+                       : Value::Str("note for customer " + std::to_string(c)),
+            Value::Decimal(static_cast<double>(c * 37 % 1000) / 3.0)});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  // Customers 250..299 place no orders: the outer join NULL-fills them.
+  for (int64_t o = 0; o < 8000; ++o) {
+    st = db->InsertRow(
+        "ord",
+        Row{Value::Int(o), Value::Int(o * 7 % 250), Value::Date(9000 + o % 900),
+            Value::Str(o % 5 == 0 ? "1-URGENT" : "3-MEDIUM"),
+            o % 11 == 0
+                ? Value::Null(DataType::kString)
+                : Value::Str("order comment number " + std::to_string(o)),
+            Value::Decimal(static_cast<double>(o % 977) + 0.25)});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  st = db->Analyze();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return db;
+}
+
+std::vector<std::string> SortedRows(std::vector<std::string> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Runs `sql` (reading a strict subset of the FROM tables' columns) and
+/// `star_sql` (the same query with `SELECT *`), projects the star rows onto
+/// `cols`, and expects the same multiset of rows. Returns the plan of
+/// `sql` for shape assertions.
+std::string ExpectProjectionMatchesStar(Database* db, const std::string& sql,
+                                        const std::string& star_sql,
+                                        const std::vector<size_t>& cols) {
+  auto plan = db->Explain(sql);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  auto got = db->Query(sql);
+  EXPECT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+  auto star = db->Query(star_sql);
+  EXPECT_TRUE(star.ok()) << star_sql << ": " << star.status().ToString();
+  if (!plan.ok() || !got.ok() || !star.ok()) return "";
+  QueryResult projected;
+  for (const Row& r : star.value().rows) {
+    Row p;
+    for (size_t c : cols) p.push_back(r[c]);
+    projected.rows.push_back(std::move(p));
+  }
+  EXPECT_FALSE(got.value().rows.empty()) << sql;
+  EXPECT_EQ(SortedRows(RowStrings(got.value())),
+            SortedRows(RowStrings(projected)))
+      << sql << "\n" << plan.value();
+  return plan.value();
+}
+
+// Star column numbers: cust = 0 ck, 1 name, 2 nation, 3 note, 4 bal;
+// ord after cust = 5 ok, 6 ck, 7 odate, 8 prio, 9 comment, 10 total.
+
+TEST(ProjectedDecodeTest, SeqScanAndIndexScan) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(), "SELECT note, bal FROM cust WHERE nation = 3",
+      "SELECT * FROM cust WHERE nation = 3", {3, 4});
+  EXPECT_NE(plan.find("SeqScan(cust"), std::string::npos) << plan;
+  plan = ExpectProjectionMatchesStar(
+      db.get(), "SELECT comment, odate FROM ord WHERE ok = 4321",
+      "SELECT * FROM ord WHERE ok = 4321", {4, 2});
+  EXPECT_NE(plan.find("IndexScan(ord"), std::string::npos) << plan;
+}
+
+TEST(ProjectedDecodeTest, IndexNestedLoopsJoin) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  ASSERT_OK(db->Execute("CREATE INDEX ord_ck ON ord (ck)"));
+  ASSERT_OK(db->Analyze());
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(),
+      "SELECT ord.comment, cust.name FROM cust, ord "
+      "WHERE ord.ck = cust.ck AND cust.ck < 4",
+      "SELECT * FROM cust, ord WHERE ord.ck = cust.ck AND cust.ck < 4",
+      {9, 1});
+  EXPECT_NE(plan.find("IndexNLJoin(ord"), std::string::npos) << plan;
+}
+
+TEST(ProjectedDecodeTest, GatherPartitionedHashBuild) {
+  DatabaseOptions opts;
+  opts.planner.dop = 4;
+  auto db = MakeProjectionDb(opts, "");
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(),
+      "SELECT cust.name, ord.prio, ord.total FROM cust, ord "
+      "WHERE cust.ck = ord.ck AND cust.nation = 2",
+      "SELECT * FROM cust, ord WHERE cust.ck = ord.ck AND cust.nation = 2",
+      {1, 8, 10});
+  EXPECT_NE(plan.find("HashJoin("), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Gather(dop=4)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("ParallelSeqScan(ord"), std::string::npos) << plan;
+}
+
+TEST(ProjectedDecodeTest, LeftOuterHashJoinNullFillsBuildRanges) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  const std::string from =
+      " FROM cust LEFT OUTER JOIN ord ON cust.ck = ord.ck AND "
+      "ord.total > 900.0";
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(), "SELECT cust.name, ord.comment, ord.odate" + from,
+      "SELECT *" + from, {1, 9, 7});
+  EXPECT_NE(plan.find("HashLeftOuterJoin("), std::string::npos) << plan;
+  // Customers without an order over 900 come back NULL-filled.
+  auto nulls = db->Query("SELECT COUNT(*)" + from + " WHERE ord.ok IS NULL");
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  EXPECT_GT(nulls.value().rows[0][0].AsInt(), 50);
+}
+
+TEST(ProjectedDecodeTest, ColumnarEngine) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "columnar");
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(),
+      "SELECT cust.name, ord.prio FROM cust, ord "
+      "WHERE cust.ck = ord.ck AND cust.nation = 4",
+      "SELECT * FROM cust, ord WHERE cust.ck = ord.ck AND cust.nation = 4",
+      {1, 8});
+  EXPECT_NE(plan.find("ColumnarScan(ord"), std::string::npos) << plan;
+}
+
+Cursor OpenCursorOn(Database* db, const std::string& sql) {
+  auto stmt = db->Prepare(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto cur = db->OpenCursor(stmt.value(), {});
+  EXPECT_TRUE(cur.ok()) << cur.status().ToString();
+  return std::move(cur.value());
+}
+
+/// Fetches the rows of an open cursor, projected onto `cols`, one batch of
+/// `batch_rows` rows per FetchBatch call; stops after `max_batches` calls
+/// (0 = drain).
+std::vector<std::string> FetchProjected(Cursor* cur,
+                                        const std::vector<size_t>& cols,
+                                        size_t batch_rows,
+                                        size_t max_batches = 0) {
+  RowBatch batch(batch_rows);
+  QueryResult fetched;
+  for (size_t n = 0; max_batches == 0 || n < max_batches; ++n) {
+    auto got = cur->FetchBatch(&batch);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok() || !got.value()) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Row r;
+      for (size_t c : cols) r.push_back(batch.row(i)[c]);
+      fetched.rows.push_back(std::move(r));
+    }
+  }
+  return RowStrings(fetched);
+}
+
+// A cursor opened before an UPDATE and a DELETE keeps reading its snapshot:
+// updated rows come from their alt versions and deleted rows from the
+// page's ghosts, both decoded through the same projection.
+TEST(ProjectedDecodeTest, MvccCursorSeesAltVersionsAndGhosts) {
+  DatabaseOptions opts;
+  opts.batch_rows = 1;
+  auto db = MakeProjectionDb(opts, "");
+  ASSERT_OK(db->EnableWal());  // turns MVCC on
+  const std::string where = " FROM cust WHERE nation < 5";
+  // Both cursors fetch one row, pinning their snapshots, before the writes.
+  Cursor sub_cur = OpenCursorOn(db.get(), "SELECT note, bal" + where);
+  Cursor star_cur = OpenCursorOn(db.get(), "SELECT *" + where);
+  std::vector<std::string> subset = FetchProjected(&sub_cur, {0, 1}, 1, 1);
+  std::vector<std::string> star = FetchProjected(&star_cur, {3, 4}, 1, 1);
+  ASSERT_EQ(subset.size(), 1u);
+
+  int64_t affected = 0;
+  ASSERT_OK(db->Execute(
+      "UPDATE cust SET note = 'rewritten', bal = 1.00 WHERE nation = 2", {},
+      nullptr, &affected));
+  EXPECT_GT(affected, 0);
+  ASSERT_OK(db->Execute("DELETE FROM cust WHERE nation = 3", {}, nullptr,
+                        &affected));
+  EXPECT_GT(affected, 0);
+
+  for (std::string& r : FetchProjected(&sub_cur, {0, 1}, 3)) {
+    subset.push_back(std::move(r));
+  }
+  for (std::string& r : FetchProjected(&star_cur, {3, 4}, 3)) {
+    star.push_back(std::move(r));
+  }
+  ASSERT_OK(sub_cur.Close());
+  ASSERT_OK(star_cur.Close());
+  EXPECT_EQ(SortedRows(subset), SortedRows(star));
+  // Both saw the pre-update, pre-delete state: 5 nations of 12 customers.
+  EXPECT_EQ(subset.size(), 60u);
+  for (const std::string& r : subset) {
+    EXPECT_EQ(r.find("rewritten"), std::string::npos) << r;
+  }
+  // A fresh statement sees the new state.
+  auto now = db->Query("SELECT COUNT(*)" + where);
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  EXPECT_EQ(now.value().rows[0][0].AsInt(), 48);
 }
 
 }  // namespace

@@ -102,6 +102,53 @@ TEST(RowCodecTest, TruncatedBytesRejected) {
   EXPECT_FALSE(DeserializeRow(s, bytes + "x", &back).ok());
 }
 
+TEST(RowCodecTest, ProjectedDecodeWritesOnlyItsColumns) {
+  Schema s({ColInt("A"), ColChar("C", 8), ColVarchar("V"), ColInt("I", 4)});
+  std::string bytes;
+  ASSERT_TRUE(SerializeRow(s,
+                           Row{Value::Int(7), Value::Str("hi"),
+                               Value::Null(DataType::kString), Value::Int(-3)},
+                           &bytes)
+                  .ok());
+  // Wide row: two foreign positions, then the table at offset 2.
+  Row wide(6, Value::Str("untouched"));
+  ASSERT_TRUE(DecodeRowInto(s, bytes, std::vector<size_t>{1, 2}, 2, &wide)
+                  .ok());
+  EXPECT_EQ(RowToString(wide),
+            "(untouched, untouched, untouched, hi, NULL, untouched)");
+  EXPECT_EQ(wide[4].type(), DataType::kString);  // typed NULL, as decoded
+  // No projection decodes every column.
+  ASSERT_TRUE(DecodeRowInto(s, bytes, std::nullopt, 2, &wide).ok());
+  EXPECT_EQ(RowToString(wide), "(untouched, untouched, 7, hi, NULL, -3)");
+}
+
+TEST(RowCodecTest, ProjectedDecodeStillRejectsMalformedRecords) {
+  // The unneeded columns sit at the end: the projected decode must still
+  // walk their bytes to find a truncation or trailing garbage there.
+  Schema s({ColInt("A"), ColVarchar("V"), ColChar("C", 6), ColInt("I", 4)});
+  std::string bytes;
+  ASSERT_TRUE(SerializeRow(s,
+                           Row{Value::Int(1), Value::Str("hello"),
+                               Value::Str("abc"), Value::Int(9)},
+                           &bytes)
+                  .ok());
+  const std::optional<std::vector<size_t>> first_only = std::vector<size_t>{0};
+  Row wide(4);
+  ASSERT_TRUE(DecodeRowInto(s, bytes, first_only, 0, &wide).ok());
+  EXPECT_EQ(wide[0].int_value(), 1);
+  EXPECT_TRUE(wide[1].is_null());
+  for (size_t cut = 1; cut <= 6; ++cut) {
+    EXPECT_FALSE(
+        DecodeRowInto(s, bytes.substr(0, bytes.size() - cut), first_only, 0,
+                      &wide)
+            .ok())
+        << "truncated by " << cut;
+  }
+  EXPECT_FALSE(DecodeRowInto(s, bytes + "x", first_only, 0, &wide).ok());
+  EXPECT_FALSE(
+      DecodeRowInto(s, bytes + "x", std::vector<size_t>{}, 0, &wide).ok());
+}
+
 TEST(RowCodecTest, Int4WidthRoundTripsNegatives) {
   Schema s({ColInt("I", 4)});
   std::string bytes;

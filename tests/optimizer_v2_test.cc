@@ -195,6 +195,51 @@ TEST_F(PeekFixture, PeekingOffForwardsToPlainPrepare) {
   EXPECT_EQ(CounterValue("rdbms.sql.plan_cache.variants"), 0);
 }
 
+// DROP flushes the plan-variant cache along with the plain one: a cached
+// variant would still hold the dropped table's TableInfo.
+TEST_F(PeekFixture, DropTableFlushesPlanVariants) {
+  MakeDb(EngineKind::kRowHeap);
+  db_->set_bind_peeking(true);
+  const std::string sql = "SELECT val FROM big WHERE id < ?";
+  Database::BindPeekInfo info;
+  // One variant per bucket, so no bucket could miss and recompile by luck.
+  for (int64_t bound : {5, 100, 1000, 9000}) {
+    ASSERT_OK(
+        db_->PrepareWithParams(sql, {Value::Int(bound)}, &info).status());
+  }
+  ASSERT_EQ(CounterValue("rdbms.sql.plan_cache.variants"), kPeekBuckets);
+  const int64_t parses = CounterValue("rdbms.sql.hard_parses");
+
+  ASSERT_OK(db_->Execute("DROP TABLE big"));
+  auto again = db_->PrepareWithParams(sql, {Value::Int(3)}, &info);
+  EXPECT_FALSE(again.ok());  // recompiled against the catalog: no table
+  EXPECT_FALSE(info.variant_hit);
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 1);
+}
+
+// A DOP change flushes the variants too: the next compile plans the new
+// lane count.
+TEST_F(PeekFixture, SetDopFlushesPlanVariants) {
+  MakeDb(EngineKind::kRowHeap);
+  db_->set_bind_peeking(true);
+  const std::string sql = "SELECT val FROM big WHERE id < ?";
+  Database::BindPeekInfo info;
+  auto serial = db_->PrepareWithParams(sql, {Value::Int(9000)}, &info);
+  ASSERT_OK(serial.status());
+  EXPECT_EQ(serial.value()->ExplainPlan().find("Gather"), std::string::npos);
+
+  db_->set_dop(4);
+  auto parallel = db_->PrepareWithParams(sql, {Value::Int(9500)}, &info);
+  ASSERT_OK(parallel.status());
+  EXPECT_FALSE(info.variant_hit);
+  EXPECT_NE(parallel.value()->ExplainPlan().find("Gather(dop=4)"),
+            std::string::npos)
+      << parallel.value()->ExplainPlan();
+  auto rows = db_->ExecutePrepared(parallel.value(), {Value::Int(9500)});
+  ASSERT_OK(rows.status());
+  EXPECT_EQ(rows.value().rows.size(), 9500u);
+}
+
 TEST_F(PeekFixture, ExplainWithParamsShowsPeekAndCosts) {
   MakeDb(EngineKind::kRowHeap);
   auto plan =

@@ -80,21 +80,20 @@ Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
         rdbms::Database::BindPeekInfo peek;
         R3_ASSIGN_OR_RETURN(rdbms::PreparedStatement * stmt,
                             db_->PrepareWithParams(sql, params, &peek));
-        // With bind peeking on, the cursor cache holds one entry per plan
-        // variant: landing in a new selectivity bucket is a miss (new cursor
-        // compiled), re-execution within a known bucket is a hit.
+        // A hit needs this work process's cursor (one per plan variant when
+        // the database peeks binds) and the database's cached plan: a new
+        // bucket, or a plan flushed since (DDL, ANALYZE, DOP), is a miss.
         std::string cursor_key =
             peek.peeked ? sql + '\x1f' + static_cast<char>('0' + peek.bucket)
                         : sql;
-        bool cursor_hit;
-        if (seen_statements_.insert(cursor_key).second) {
-          cursor_hit = false;
-          ++stats_.cursor_cache_misses;
-          m_cursor_misses_->Add(1);
-        } else {
-          cursor_hit = true;
+        bool cursor_hit =
+            !seen_statements_.insert(cursor_key).second && peek.hit;
+        if (cursor_hit) {
           ++stats_.cursor_cache_hits;
           m_cursor_hits_->Add(1);
+        } else {
+          ++stats_.cursor_cache_misses;
+          m_cursor_misses_->Add(1);
         }
         if (peek.peeked) span->ArgInt("peek_bucket", peek.bucket);
         R3_ASSIGN_OR_RETURN(rdbms::Cursor cur, db_->OpenCursor(stmt, params));
@@ -121,7 +120,7 @@ Result<rdbms::QueryResult> DbConnection::ExecuteCursor(
         e->fetches = fetches;
         e->cursor = cursor_hit ? 1 : 0;
         e->peeked = peek.peeked;
-        e->bucket = peek.peeked ? peek.bucket : -1;
+        e->bucket = peek.bucket;
         return Status::OK();
       }));
   return result;

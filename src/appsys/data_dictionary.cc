@@ -299,17 +299,21 @@ Status DataDictionary::DecodeVarData(const LogicalTable& t,
                                      const std::string& data, Row* row) const {
   ++decode_count_;
   db_->clock()->ChargeAbapTuple();  // dictionary decode runs in the app server
-  std::vector<std::string> fields = str::Split(data, kFieldSep);
-  if (fields.size() != t.schema.NumColumns()) {
+  size_t num_fields = std::count(data.begin(), data.end(), kFieldSep) + 1;
+  if (num_fields != t.schema.NumColumns()) {
     return Status::Internal(
         str::Format("bundle of %s has %zu fields, expected %zu",
-                    t.name.c_str(), fields.size(), t.schema.NumColumns()));
+                    t.name.c_str(), num_fields, t.schema.NumColumns()));
   }
   row->clear();
-  row->reserve(fields.size());
-  for (size_t i = 0; i < fields.size(); ++i) {
-    R3_ASSIGN_OR_RETURN(Value v, TextToField(fields[i], t.schema.column(i).type));
+  row->reserve(num_fields);
+  std::string field;  // reused; TextToField's strto* calls need a C string
+  for (size_t i = 0, pos = 0; i < num_fields; ++i) {
+    size_t end = std::min(data.find(kFieldSep, pos), data.size());
+    field.assign(data, pos, end - pos);
+    R3_ASSIGN_OR_RETURN(Value v, TextToField(field, t.schema.column(i).type));
     row->push_back(std::move(v));
+    pos = end + 1;
   }
   return Status::OK();
 }

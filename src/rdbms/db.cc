@@ -93,7 +93,7 @@ Status Database::SimulateCrash() {
   txn_mgr_->ResetAfterCrash();
   R3_RETURN_IF_ERROR(pool_->DropAllNoFlush());
   if (txn_mgr_->wal() != nullptr) txn_mgr_->wal()->DropUnflushed();
-  FlushPlanCaches();
+  FlushPlanCache();
   // Engines without WAL backing (columnar) are memory-resident: a crash
   // empties them, and their indexes with them. Recovery never visits these
   // files — a warehouse re-extracts its tables instead.
@@ -219,20 +219,17 @@ void Database::set_dop(int dop) {
   if (dop == options_.planner.dop) return;
   options_.planner.dop = dop;
   // Cached plans embed the old lane count; recompile on next use.
-  FlushPlanCaches();
+  FlushPlanCache();
 }
 
 void Database::set_bind_peeking(bool on) {
   if (on == options_.planner.bind_peeking) return;
   options_.planner.bind_peeking = on;
   // Cached plans embed the peeking decision; recompile on next use.
-  FlushPlanCaches();
+  FlushPlanCache();
 }
 
-void Database::FlushPlanCaches() {
-  prepared_.clear();
-  peeked_prepared_.clear();
-}
+void Database::FlushPlanCache() { plan_cache_.clear(); }
 
 void Database::set_batch_rows(size_t batch_rows) {
   // Plans are batch-size agnostic (capacity is picked per execution), so
@@ -283,7 +280,7 @@ Result<Cursor> Database::Open(PreparedStatement* stmt,
   Cursor cur;
   cur.state_ = std::make_unique<Cursor::State>();
   Cursor::State* st = cur.state_.get();
-  st->stmt = stmt;
+  st->stmt = stmt->shared_from_this();
   st->params = params;
   // Covers the whole open..fetch..close window; ends in Cursor::Close after
   // the plan's own Close (State members are destroyed span-first).
@@ -381,6 +378,7 @@ Status Database::Execute(const std::string& sql,
       R3_RETURN_IF_ERROR(ExecuteCreateTable(*stmt.create_table));
       break;
     case Statement::Kind::kCreateIndex: {
+      FlushPlanCache();  // cached plans never considered the new index
       clock_->ChargeStatementCompile();
       R3_RETURN_IF_ERROR(catalog_
                              ->CreateIndex(stmt.create_index->index,
@@ -395,7 +393,7 @@ Status Database::Execute(const std::string& sql,
                                               stmt.create_view->select_sql));
       break;
     case Statement::Kind::kDrop:
-      FlushPlanCaches();  // plans may reference the dropped object
+      FlushPlanCache();  // plans may reference the dropped object
       switch (stmt.drop->target) {
         case DropStmt::Target::kTable:
           R3_RETURN_IF_ERROR(catalog_->DropTable(stmt.drop->name));
@@ -429,15 +427,14 @@ Status Database::ExecuteSelect(const SelectStmt& stmt,
   m_hard_parses_->Add(1);
   SimTimer timer(*clock_);
   clock_->ChargeStatementCompile();
-  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+  R3_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> compiled,
                       Compile(stmt, options_.planner));
-  return Run(&compiled, params, timer, result);
+  return Run(compiled.get(), params, timer, result);
 }
 
-Result<PreparedStatement> Database::Compile(const SelectStmt& stmt,
-                                            const PlannerOptions& planner,
-                                            const std::vector<Value>* peeked,
-                                            PeekClassifier* classifier_out) {
+Result<std::shared_ptr<PreparedStatement>> Database::Compile(
+    const SelectStmt& stmt, const PlannerOptions& planner,
+    const std::vector<Value>* peeked, PeekClassifier* classifier_out) {
   TraceSpan bind_span(clock_, "sql", "bind");
   Binder binder(catalog_.get());
   R3_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.BindSelect(stmt));
@@ -445,12 +442,12 @@ Result<PreparedStatement> Database::Compile(const SelectStmt& stmt,
   if (classifier_out != nullptr) *classifier_out = BuildPeekClassifier(*bq);
   TraceSpan opt_span(clock_, "sql", "optimize");
   Optimizer opt(catalog_.get(), planner, metrics_, peeked);
-  PreparedStatement compiled;
-  R3_ASSIGN_OR_RETURN(compiled.plan_, opt.Plan(std::move(bq)));
+  auto compiled = std::make_shared<PreparedStatement>();
+  R3_ASSIGN_OR_RETURN(compiled->plan_, opt.Plan(std::move(bq)));
   return compiled;
 }
 
-Result<std::unique_ptr<PreparedStatement>> Database::HardParse(
+Result<std::shared_ptr<PreparedStatement>> Database::HardParse(
     const std::string& sql, const std::vector<Value>* peeked,
     PeekClassifier* classifier_out) {
   m_hard_parses_->Add(1);
@@ -459,73 +456,62 @@ Result<std::unique_ptr<PreparedStatement>> Database::HardParse(
   TraceSpan parse_span(clock_, "sql", "parse");
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
   parse_span.End();
-  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+  R3_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> compiled,
                       Compile(*sel, options_.planner, peeked, classifier_out));
   if (peeked != nullptr) m_plan_variants_->Add(1);
-  return std::make_unique<PreparedStatement>(std::move(compiled));
+  return compiled;
+}
+
+Database::BindPeekInfo Database::PeekBinds(const PeekClassifier& classifier,
+                                           const std::vector<Value>& params) {
+  BindPeekInfo peek;
+  peek.peeked = true;
+  peek.est_fraction = PeekEstimate(classifier, params);
+  peek.bucket = PeekBucket(peek.est_fraction);
+  return peek;
+}
+
+Result<PreparedStatement*> Database::LookupPlan(
+    const std::string& sql, const std::vector<Value>* peeked,
+    BindPeekInfo* info) {
+  *info = BindPeekInfo{};
+  // First sight: one hard parse builds the classifier and the first plan.
+  std::shared_ptr<PreparedStatement> compiled;
+  auto it = plan_cache_.find(sql);
+  if (it == plan_cache_.end()) {
+    CachedStatement fresh;
+    R3_ASSIGN_OR_RETURN(compiled, HardParse(sql, peeked, &fresh.classifier));
+    it = plan_cache_.emplace(sql, std::move(fresh)).first;
+  }
+  CachedStatement& entry = it->second;
+  if (peeked != nullptr) *info = PeekBinds(entry.classifier, *peeked);
+  std::shared_ptr<PreparedStatement>& slot =
+      entry.plans[static_cast<size_t>(info->bucket + 1)];
+  if (slot != nullptr) {
+    m_prepared_hits_->Add(1);
+    if (info->peeked) m_bucket_hits_[static_cast<size_t>(info->bucket)]->Add(1);
+    info->hit = true;
+    return slot.get();
+  }
+  // Known statement, empty slot (other plan kind or a new bucket).
+  if (compiled == nullptr) {
+    R3_ASSIGN_OR_RETURN(compiled, HardParse(sql, peeked));
+  }
+  slot = std::move(compiled);
+  return slot.get();
 }
 
 Result<PreparedStatement*> Database::Prepare(const std::string& sql) {
-  auto it = prepared_.find(sql);
-  if (it != prepared_.end()) {
-    m_prepared_hits_->Add(1);
-    return it->second.get();
-  }
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt, HardParse(sql));
-  PreparedStatement* raw = stmt.get();
-  prepared_.emplace(sql, std::move(stmt));
-  return raw;
+  BindPeekInfo info;
+  return LookupPlan(sql, nullptr, &info);
 }
 
 Result<PreparedStatement*> Database::PrepareWithParams(
     const std::string& sql, const std::vector<Value>& params,
     BindPeekInfo* info) {
-  if (info != nullptr) *info = BindPeekInfo{};
-  if (!options_.planner.bind_peeking) return Prepare(sql);
-
-  auto it = peeked_prepared_.find(sql);
-  if (it == peeked_prepared_.end()) {
-    // First sight: one hard parse builds both the classifier and the first
-    // variant, filed under the bucket these bind values land in.
-    PeekedStatement ps;
-    R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                        HardParse(sql, &params, &ps.classifier));
-    double est = PeekEstimate(ps.classifier, params);
-    int bucket = PeekBucket(est);
-    PreparedStatement* raw = stmt.get();
-    ps.variants[static_cast<size_t>(bucket)] = std::move(stmt);
-    peeked_prepared_.emplace(sql, std::move(ps));
-    if (info != nullptr) {
-      info->peeked = true;
-      info->bucket = bucket;
-      info->est_fraction = est;
-    }
-    return raw;
-  }
-
-  // Known statement: classify (no simulated charges) and pick the variant.
-  PeekedStatement& ps = it->second;
-  double est = PeekEstimate(ps.classifier, params);
-  int bucket = PeekBucket(est);
-  if (info != nullptr) {
-    info->peeked = true;
-    info->bucket = bucket;
-    info->est_fraction = est;
-  }
-  std::unique_ptr<PreparedStatement>& slot =
-      ps.variants[static_cast<size_t>(bucket)];
-  if (slot != nullptr) {
-    m_prepared_hits_->Add(1);
-    m_bucket_hits_[static_cast<size_t>(bucket)]->Add(1);
-    if (info != nullptr) info->variant_hit = true;
-    return slot.get();
-  }
-  // Bucket boundary crossed: compile one new variant for this bucket.
-  R3_ASSIGN_OR_RETURN(std::unique_ptr<PreparedStatement> stmt,
-                      HardParse(sql, &params));
-  PreparedStatement* raw = stmt.get();
-  slot = std::move(stmt);
-  return raw;
+  BindPeekInfo local;
+  return LookupPlan(sql, options_.planner.bind_peeking ? &params : nullptr,
+                    info != nullptr ? info : &local);
 }
 
 Result<QueryResult> Database::ExecutePrepared(PreparedStatement* stmt,
@@ -539,9 +525,9 @@ Result<QueryResult> Database::ExecutePrepared(PreparedStatement* stmt,
 
 Result<std::string> Database::Explain(const std::string& sql) {
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+  R3_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> compiled,
                       Compile(*sel, options_.planner));
-  return compiled.ExplainPlan();
+  return compiled->ExplainPlan();
 }
 
 Result<std::string> Database::Explain(const std::string& sql,
@@ -550,18 +536,17 @@ Result<std::string> Database::Explain(const std::string& sql,
   PlannerOptions planner = options_.planner;
   planner.bind_peeking = true;
   PeekClassifier classifier;
-  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+  R3_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> compiled,
                       Compile(*sel, planner, &params, &classifier));
-  double est = PeekEstimate(classifier, params);
-  int bucket = PeekBucket(est);
-  std::string out =
-      str::Format("Peek: bucket=%d est_fraction=%.6f\n", bucket, est);
+  BindPeekInfo peek = PeekBinds(classifier, params);
+  std::string out = str::Format("Peek: bucket=%d est_fraction=%.6f\n",
+                                peek.bucket, peek.est_fraction);
   const CostModel& cost = DefaultCostModel();
-  for (const BoundTableRef& bt : compiled.plan_.query->tables) {
+  for (const BoundTableRef& bt : compiled->plan_.query->tables) {
     out += OptimizerCosts::ForTable(*bt.table, cost).Describe(bt.table->name) +
            "\n";
   }
-  out += compiled.ExplainPlan();
+  out += compiled->ExplainPlan();
   return out;
 }
 
@@ -572,14 +557,14 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
   SimTimer timer(*clock_);
   clock_->ChargeStatementCompile();
   R3_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect(sql));
-  R3_ASSIGN_OR_RETURN(PreparedStatement compiled,
+  R3_ASSIGN_OR_RETURN(std::shared_ptr<PreparedStatement> compiled,
                       Compile(*sel, options_.planner));
   ExecContext::Totals totals;
   BufferPoolStats pool_before = pool_->stats();
   QueryResult result;
-  R3_RETURN_IF_ERROR(Run(&compiled, params, timer, &result, &totals));
+  R3_RETURN_IF_ERROR(Run(compiled.get(), params, timer, &result, &totals));
   BufferPoolStats pool_after = pool_->stats();
-  std::string out = ExplainPlan(*compiled.plan_.root, /*analyze=*/true);
+  std::string out = ExplainPlan(*compiled->plan_.root, /*analyze=*/true);
   out += str::Format(
       "\nTotals: result_rows=%lld exchanged_rows=%lld batches=%lld "
       "opens=%lld closes=%lld",
@@ -588,7 +573,7 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
       static_cast<long long>(totals.batches),
       static_cast<long long>(totals.opens),
       static_cast<long long>(totals.closes));
-  out += "\nOptimizer: " + compiled.plan_.choices.Summary();
+  out += "\nOptimizer: " + compiled->plan_.choices.Summary();
   uint64_t logical = pool_after.logical_reads - pool_before.logical_reads;
   uint64_t physical = pool_after.physical_reads - pool_before.physical_reads;
   double hit_pct =
@@ -607,7 +592,7 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
       static_cast<unsigned long long>(pool_after.page_writes -
                                       pool_before.page_writes),
       hit_pct);
-  for (const BoundTableRef& bt : compiled.plan_.query->tables) {
+  for (const BoundTableRef& bt : compiled->plan_.query->tables) {
     const TableInfo* t = bt.table;
     if (!t->stats_stale()) continue;
     uint64_t threshold = t->stats.row_count / 10;
@@ -1085,6 +1070,8 @@ Status Database::AnalyzeTable(TableInfo* table) {
 }
 
 Status Database::Analyze(const std::string& table) {
+  // New statistics can change any plan (as in PostgreSQL's plancache.c).
+  FlushPlanCache();
   if (!table.empty()) {
     R3_ASSIGN_OR_RETURN(TableInfo * ti, catalog_->GetTable(table));
     return AnalyzeTable(ti);

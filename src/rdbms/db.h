@@ -57,8 +57,10 @@ struct QueryResult {
 };
 
 /// A compiled statement, reusable with different parameter bindings —
-/// the substrate for SAP R/3's cursor caching.
-class PreparedStatement {
+/// the substrate for SAP R/3's cursor caching. Shared by the plan cache
+/// and the cursors open on it.
+class PreparedStatement
+    : public std::enable_shared_from_this<PreparedStatement> {
  public:
   const Schema& output_schema() const { return plan_.output_schema; }
   const std::vector<std::string>& column_names() const {
@@ -103,7 +105,7 @@ class Cursor {
   /// Heap-allocated so the ExecContext's pointer to `params` survives moves
   /// of the Cursor object.
   struct State {
-    PreparedStatement* stmt = nullptr;
+    std::shared_ptr<PreparedStatement> stmt;
     std::vector<Value> params;
     /// Pins the statement's snapshot-isolation view (and its GC horizon)
     /// for the cursor's whole open..close window, so rows written by other
@@ -143,8 +145,7 @@ class Database {
   const DatabaseOptions& options() const { return options_; }
 
   /// Changes the degree of parallelism for subsequent statements. Plans fix
-  /// their lane count at compile time, so the prepared-statement cache is
-  /// invalidated.
+  /// their lane count at compile time, so the plan cache is flushed.
   void set_dop(int dop);
   int dop() const { return options_.planner.dop; }
 
@@ -218,15 +219,15 @@ class Database {
 
   /// Compiles a SELECT once; cached by statement text (a hard parse is
   /// charged only on the first call — parameterized re-execution is what
-  /// makes cursor caching pay).
+  /// makes cursor caching pay). Valid until the next plan-cache flush.
   Result<PreparedStatement*> Prepare(const std::string& sql);
 
-  /// What PrepareWithParams decided for one call (optimizer v2 telemetry).
+  /// What one plan-cache lookup decided (optimizer v2 telemetry).
   struct BindPeekInfo {
-    bool peeked = false;        ///< false = peeking off, plain Prepare path
-    int bucket = 0;             ///< selectivity bucket (see PeekBucket)
+    bool peeked = false;        ///< false = peeking off, un-peeked plan
+    int bucket = -1;            ///< selectivity bucket; -1 = un-peeked
     double est_fraction = 1.0;  ///< peeked selectivity estimate
-    bool variant_hit = false;   ///< reused a cached plan variant (no compile)
+    bool hit = false;           ///< reused a cached plan (no compile)
   };
 
   /// Bind-value-peeking Prepare (optimizer v2): classifies `params` into a
@@ -234,13 +235,13 @@ class Database {
   /// (statement, bucket) — a parameter-sensitive plan cache. Re-executions
   /// in a known bucket reuse the variant without a hard parse; crossing a
   /// bucket boundary compiles one new variant. When `bind_peeking()` is off
-  /// this forwards to Prepare() — byte-identical to the v1 path.
+  /// this is Prepare() — byte-identical to the v1 path.
   Result<PreparedStatement*> PrepareWithParams(const std::string& sql,
                                                const std::vector<Value>& params,
                                                BindPeekInfo* info = nullptr);
 
   /// Toggles bind-value peeking (optimizer v2 master switch). Cached plans
-  /// embed the peeking decision, so both plan caches are flushed.
+  /// embed the peeking decision, so the plan cache is flushed.
   void set_bind_peeking(bool on);
   bool bind_peeking() const { return options_.planner.bind_peeking; }
 
@@ -276,7 +277,7 @@ class Database {
   /// types, inserts, and maintains all indexes.
   Status InsertRow(const std::string& table, const Row& row);
 
-  /// Refreshes optimizer statistics (empty name = all tables).
+  /// Refreshes optimizer statistics (empty name = all tables); flushes plans.
   Status Analyze(const std::string& table = "");
 
   // -- Introspection ----------------------------------------------------------
@@ -346,17 +347,27 @@ class Database {
   /// planner sees when `planner.bind_peeking` is on; `classifier_out`
   /// (optional) receives the peek classifier, extracted before planning
   /// consumes the bound query.
-  Result<PreparedStatement> Compile(const SelectStmt& stmt,
-                                    const PlannerOptions& planner,
-                                    const std::vector<Value>* peeked = nullptr,
-                                    PeekClassifier* classifier_out = nullptr);
+  Result<std::shared_ptr<PreparedStatement>> Compile(
+      const SelectStmt& stmt, const PlannerOptions& planner,
+      const std::vector<Value>* peeked = nullptr,
+      PeekClassifier* classifier_out = nullptr);
 
   /// Parses and compiles `sql` under a `sql/prepare` span, counting a hard
-  /// parse and charging the compile: the miss path of both plan caches.
+  /// parse and charging the compile: the miss path of the plan cache.
   /// Each peeked compile (`peeked` non-null) counts one plan variant.
-  Result<std::unique_ptr<PreparedStatement>> HardParse(
+  Result<std::shared_ptr<PreparedStatement>> HardParse(
       const std::string& sql, const std::vector<Value>* peeked = nullptr,
       PeekClassifier* classifier_out = nullptr);
+
+  /// Classifies bind values into a peek bucket (no simulated charges).
+  static BindPeekInfo PeekBinds(const PeekClassifier& classifier,
+                                const std::vector<Value>& params);
+
+  /// The plan-cache lookup behind Prepare and PrepareWithParams (`peeked`
+  /// null = un-peeked plan); a miss hard-parses and fills the slot.
+  Result<PreparedStatement*> LookupPlan(const std::string& sql,
+                                        const std::vector<Value>* peeked,
+                                        BindPeekInfo* info);
 
   /// Opens `stmt`'s plan for a run under a fresh snapshot: the statement's
   /// ExecContext reaches every operator and, through the subquery runner,
@@ -371,10 +382,9 @@ class Database {
              const SimTimer& timer, QueryResult* result,
              ExecContext::Totals* totals = nullptr);
 
-  /// Drops every cached plan: the plain cache and every bind-peeking
-  /// variant. Called wherever a cached plan may have gone stale (DROP,
-  /// crash, DOP or peeking change).
-  void FlushPlanCaches();
+  /// Drops every cached plan; called from every event that can stale one
+  /// (crash, DOP or peeking change, DROP, CREATE INDEX, ANALYZE).
+  void FlushPlanCache();
 
   /// Effective OS-thread budget for parallel fragments.
   int EffectiveExecThreads() const {
@@ -399,14 +409,13 @@ class Database {
   /// (TxnManager::AllocWriteId). 0 = no DML in flight / MVCC off.
   uint64_t write_id_ = 0;
   std::vector<UndoEntry> undo_log_;
-  std::unordered_map<std::string, std::unique_ptr<PreparedStatement>> prepared_;
-  /// Parameter-sensitive plan cache (bind peeking on): one classifier per
-  /// statement text plus up to kPeekBuckets compiled variants.
-  struct PeekedStatement {
+  /// The plan cache, keyed by statement text: `plans[0]` is the un-peeked
+  /// plan (bucket -1), `plans[b + 1]` the variant of peek bucket b.
+  struct CachedStatement {
     PeekClassifier classifier;
-    std::array<std::unique_ptr<PreparedStatement>, kPeekBuckets> variants;
+    std::array<std::shared_ptr<PreparedStatement>, kPeekBuckets + 1> plans;
   };
-  std::unordered_map<std::string, PeekedStatement> peeked_prepared_;
+  std::unordered_map<std::string, CachedStatement> plan_cache_;
   uint64_t statement_epoch_ = 0;
   // Cached registry mirrors (see constructor).
   Counter* m_statements_;

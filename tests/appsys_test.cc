@@ -398,6 +398,35 @@ TEST_F(AppSysTest, CursorCachingAvoidsRecompilation) {
   EXPECT_EQ(s2.cursor_cache_misses, s1.cursor_cache_misses);
 }
 
+// A cursor hit needs the database's plan as well as the connection's
+// memory of the statement: after a DOP change flushed the plan cache, the
+// re-execution is a hard parse and must count (and trace) as a miss.
+TEST_F(AppSysTest, FlushedPlanCountsAsCursorMiss) {
+  DbConnection* conn = sys_->app.connection();
+  SqlTrace trace;
+  conn->set_sql_trace(&trace);
+  const std::string sql = "SELECT MATNR FROM MARA WHERE BRGEW > ?";
+  ASSERT_OK(conn->ExecuteCursor(sql, {Value::Dbl(0.0)}).status());
+  DbConnection::Stats before = conn->stats();
+  Counter* hard_parses = metrics_.GetCounter("rdbms.sql.hard_parses");
+  const int64_t parses = hard_parses->Value();
+
+  sys_->db.set_dop(2);
+  ASSERT_OK(conn->ExecuteCursor(sql, {Value::Dbl(0.0)}).status());
+  DbConnection::Stats after = conn->stats();
+  EXPECT_EQ(after.cursor_cache_misses - before.cursor_cache_misses, 1);
+  EXPECT_EQ(after.cursor_cache_hits, before.cursor_cache_hits);
+  EXPECT_EQ(hard_parses->Value(), parses + 1);
+  ASSERT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(trace.events()[1].cursor, 0);
+
+  // With the plan cached again, the next execution is a hit.
+  ASSERT_OK(conn->ExecuteCursor(sql, {Value::Dbl(1.0)}).status());
+  EXPECT_EQ(conn->stats().cursor_cache_hits - after.cursor_cache_hits, 1);
+  EXPECT_EQ(trace.events()[2].cursor, 1);
+  conn->set_sql_trace(nullptr);
+}
+
 }  // namespace
 }  // namespace appsys
 }  // namespace r3

@@ -221,6 +221,37 @@ TEST(BatchExecTest, CursorFetchGranularityAndRebind) {
   EXPECT_EQ(res.value().rows.size(), 7u);
 }
 
+// Every event that flushes the plan cache (a DOP change, ANALYZE, CREATE
+// INDEX) can land while a cursor is open on a cached plan. The cursor
+// shares ownership of its plan, so it drains to the end unharmed.
+TEST(BatchExecTest, OpenCursorOutlivesPlanCacheFlush) {
+  auto db = MakeDb();
+  db->set_batch_rows(10);
+  auto stmt = db->Prepare("SELECT id FROM t WHERE id < ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto cur = db->OpenCursor(stmt.value(), {Value::Int(25)});
+  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+  RowBatch batch(10);
+  std::vector<int64_t> ids;
+  while (true) {
+    auto got = cur.value().FetchBatch(&batch);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.value()) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ids.push_back(batch.row(i)[0].AsInt());
+    }
+    if (ids.size() == 10) {  // after the first batch: flush three ways
+      db->set_dop(4);
+      ASSERT_OK(db->Execute("ANALYZE"));
+      ASSERT_OK(db->Execute("CREATE INDEX t_grp ON t (grp)"));
+    }
+  }
+  ASSERT_OK(cur.value().Close());
+  std::vector<int64_t> want(25);
+  for (int64_t i = 0; i < 25; ++i) want[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(ids, want);
+}
+
 TEST(BatchExecTest, ExplainAnalyzeShowsRuntimeCounters) {
   auto db = MakeDb();
   const std::string q =

@@ -145,20 +145,20 @@ TEST_F(PeekFixture, BucketBoundaryCompilesExactlyTwoVariants) {
   ASSERT_OK(s1.status());
   EXPECT_TRUE(info.peeked);
   EXPECT_EQ(info.bucket, 0);
-  EXPECT_FALSE(info.variant_hit);
+  EXPECT_FALSE(info.hit);
   EXPECT_NE(s1.value()->ExplainPlan().find("IndexScan"), std::string::npos);
 
   // Same bucket, different literal: cache hit, same variant object.
   auto s2 = db_->PrepareWithParams(sql, {Value::Int(3)}, &info);
   ASSERT_OK(s2.status());
-  EXPECT_TRUE(info.variant_hit);
+  EXPECT_TRUE(info.hit);
   EXPECT_EQ(info.bucket, 0);
   EXPECT_EQ(s1.value(), s2.value());
 
   // Crossing the boundary: ~90% of the table -> bucket 3, one new variant.
   auto s3 = db_->PrepareWithParams(sql, {Value::Int(9000)}, &info);
   ASSERT_OK(s3.status());
-  EXPECT_FALSE(info.variant_hit);
+  EXPECT_FALSE(info.hit);
   EXPECT_EQ(info.bucket, 3);
   EXPECT_NE(s3.value(), s1.value());
   EXPECT_NE(s3.value()->ExplainPlan().find("SeqScan"), std::string::npos);
@@ -166,7 +166,7 @@ TEST_F(PeekFixture, BucketBoundaryCompilesExactlyTwoVariants) {
   // Re-execution in the non-selective bucket: hit again.
   auto s4 = db_->PrepareWithParams(sql, {Value::Int(9500)}, &info);
   ASSERT_OK(s4.status());
-  EXPECT_TRUE(info.variant_hit);
+  EXPECT_TRUE(info.hit);
   EXPECT_EQ(s4.value(), s3.value());
 
   EXPECT_EQ(CounterValue("rdbms.sql.plan_cache.variants"), 2);
@@ -213,7 +213,7 @@ TEST_F(PeekFixture, DropTableFlushesPlanVariants) {
   ASSERT_OK(db_->Execute("DROP TABLE big"));
   auto again = db_->PrepareWithParams(sql, {Value::Int(3)}, &info);
   EXPECT_FALSE(again.ok());  // recompiled against the catalog: no table
-  EXPECT_FALSE(info.variant_hit);
+  EXPECT_FALSE(info.hit);
   EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 1);
 }
 
@@ -231,13 +231,90 @@ TEST_F(PeekFixture, SetDopFlushesPlanVariants) {
   db_->set_dop(4);
   auto parallel = db_->PrepareWithParams(sql, {Value::Int(9500)}, &info);
   ASSERT_OK(parallel.status());
-  EXPECT_FALSE(info.variant_hit);
+  EXPECT_FALSE(info.hit);
   EXPECT_NE(parallel.value()->ExplainPlan().find("Gather(dop=4)"),
             std::string::npos)
       << parallel.value()->ExplainPlan();
   auto rows = db_->ExecutePrepared(parallel.value(), {Value::Int(9500)});
   ASSERT_OK(rows.status());
   EXPECT_EQ(rows.value().rows.size(), 9500u);
+}
+
+// A new index is a new access path: CREATE INDEX flushes the cached plans,
+// so the statement recompiles and picks the index up.
+TEST_F(PeekFixture, CreateIndexFlushesPlans) {
+  MakeDb(EngineKind::kRowHeap);
+  const std::string sql = "SELECT id FROM big WHERE val = ?";
+  auto before = db_->Prepare(sql);
+  ASSERT_OK(before.status());
+  EXPECT_NE(before.value()->ExplainPlan().find("SeqScan"), std::string::npos)
+      << before.value()->ExplainPlan();
+  const int64_t parses = CounterValue("rdbms.sql.hard_parses");
+
+  ASSERT_OK(db_->Execute("CREATE INDEX big_val ON big (val)"));
+  auto after = db_->Prepare(sql);
+  ASSERT_OK(after.status());
+  EXPECT_NE(after.value()->ExplainPlan().find("IndexScan"), std::string::npos)
+      << after.value()->ExplainPlan();
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 1);
+}
+
+// New statistics can change any plan choice: after ANALYZE the un-peeked
+// plan and every peeked variant are misses.
+TEST_F(PeekFixture, AnalyzeFlushesPlans) {
+  MakeDb(EngineKind::kRowHeap);
+  db_->set_bind_peeking(true);
+  const std::string sql = "SELECT val FROM big WHERE id < ?";
+  const std::vector<int64_t> bounds = {5, 100, 1000, 9000};  // one per bucket
+  ASSERT_OK(db_->Prepare(sql).status());
+  Database::BindPeekInfo info;
+  for (int64_t bound : bounds) {
+    ASSERT_OK(
+        db_->PrepareWithParams(sql, {Value::Int(bound)}, &info).status());
+  }
+  const int64_t parses = CounterValue("rdbms.sql.hard_parses");
+  const int64_t hits = CounterValue("rdbms.sql.prepared_cache_hits");
+
+  ASSERT_OK(db_->Execute("ANALYZE"));
+  ASSERT_OK(db_->Prepare(sql).status());
+  for (int64_t bound : bounds) {
+    ASSERT_OK(
+        db_->PrepareWithParams(sql, {Value::Int(bound)}, &info).status());
+    EXPECT_FALSE(info.hit) << "bound " << bound;
+  }
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"),
+            parses + 1 + static_cast<int64_t>(bounds.size()));
+  EXPECT_EQ(CounterValue("rdbms.sql.prepared_cache_hits"), hits);
+}
+
+// With peeking on, Prepare's un-peeked plan (bucket -1) and the peeked
+// variants live side by side under one statement text, each a separate
+// plan that hits on its own.
+TEST_F(PeekFixture, PlainAndPeekedPlansShareOneEntry) {
+  MakeDb(EngineKind::kRowHeap);
+  db_->set_bind_peeking(true);
+  const std::string sql = "SELECT val FROM big WHERE id < ?";
+  const int64_t parses = CounterValue("rdbms.sql.hard_parses");
+  Database::BindPeekInfo info;
+  auto peeked = db_->PrepareWithParams(sql, {Value::Int(5)}, &info);
+  ASSERT_OK(peeked.status());
+  EXPECT_FALSE(info.hit);
+  auto plain = db_->Prepare(sql);
+  ASSERT_OK(plain.status());
+  EXPECT_NE(plain.value(), peeked.value());
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 2);
+  EXPECT_EQ(CounterValue("rdbms.sql.plan_cache.variants"), 1);
+
+  auto plain_again = db_->Prepare(sql);
+  ASSERT_OK(plain_again.status());
+  EXPECT_EQ(plain_again.value(), plain.value());
+  auto peeked_again = db_->PrepareWithParams(sql, {Value::Int(3)}, &info);
+  ASSERT_OK(peeked_again.status());
+  EXPECT_TRUE(info.hit);
+  EXPECT_EQ(peeked_again.value(), peeked.value());
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 2);
+  EXPECT_EQ(CounterValue("rdbms.sql.prepared_cache_hits"), 2);
+  EXPECT_EQ(CounterValue("rdbms.sql.plan_cache.bucket0_hits"), 1);
 }
 
 TEST_F(PeekFixture, ExplainWithParamsShowsPeekAndCosts) {

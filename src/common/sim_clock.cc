@@ -4,8 +4,6 @@
 
 namespace r3 {
 
-thread_local SimClock::Lane* SimClock::tl_active_lane_ = nullptr;
-
 std::string FormatDuration(int64_t us) {
   if (us < 0) return "-" + FormatDuration(-us);
   int64_t total_secs = us / 1000000;

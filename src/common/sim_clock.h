@@ -114,7 +114,7 @@ class SimClock {
   int64_t now_us_ = 0;
   Tracer* tracer_ = nullptr;
   WaitEventLog* wait_log_ = nullptr;
-  static thread_local Lane* tl_active_lane_;
+  static constinit inline thread_local Lane* tl_active_lane_ = nullptr;
 };
 
 /// RAII lane scope for worker threads.

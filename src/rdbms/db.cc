@@ -794,9 +794,10 @@ Status Database::CollectMatches(TableInfo* table, const Expr* where,
 
   // Index assist: if the WHERE conjuncts constrain a prefix of some index
   // by equality against runtime constants, range-scan that index instead of
-  // the heap (crucial for tuple-at-a-time application workloads).
-  const IndexInfo* best_index = nullptr;
-  std::string best_prefix;
+  // the heap (crucial for tuple-at-a-time application workloads). The
+  // longest prefix wins, the first index on ties; an index whose prefix
+  // fails to evaluate or cast is passed over.
+  KeyRangeCursor range;
   size_t best_cols = 0;
   if (where != nullptr) {
     // Gather col = const candidates.
@@ -819,59 +820,31 @@ Status Database::CollectMatches(TableInfo* table, const Expr* where,
     };
     gather(*where);
     for (const IndexInfo* idx : table->indexes) {
-      std::string prefix;
-      size_t covered = 0;
+      IndexBounds bounds;
       for (size_t col : idx->column_indices) {
-        const Expr* value = nullptr;
-        for (const auto& [c, v] : eqs) {
-          if (c == col) {
-            value = v;
-            break;
-          }
-        }
-        if (value == nullptr) break;
-        Value v;
-        Status st = EvalExpr(*value, ec, &v);
-        if (!st.ok()) {
-          prefix.clear();
-          covered = 0;
-          break;
-        }
-        auto cast = v.CastTo(table->schema.column(col).type);
-        if (!cast.ok()) {
-          prefix.clear();
-          covered = 0;
-          break;
-        }
-        key_codec::EncodeValue(cast.value(), &prefix);
-        ++covered;
+        auto eq = std::find_if(eqs.begin(), eqs.end(),
+                               [col](const auto& e) { return e.first == col; });
+        if (eq == eqs.end()) break;
+        bounds.eq_exprs.push_back(eq->second);
       }
-      if (covered > best_cols) {
-        best_cols = covered;
-        best_index = idx;
-        best_prefix = prefix;
-      }
+      if (bounds.eq_exprs.size() <= best_cols) continue;
+      KeyRangeCursor candidate;
+      if (!candidate.Compile(*table, *idx, bounds, ec).ok()) continue;
+      range = std::move(candidate);
+      best_cols = bounds.eq_exprs.size();
     }
   }
 
   Row row;
   std::string rec;
-  if (best_index != nullptr && best_cols > 0) {
-    std::string stop = key_codec::PrefixUpperBound(best_prefix);
-    R3_ASSIGN_OR_RETURN(BTree::Cursor cursor, best_index->btree->Seek(best_prefix));
-    std::string key;
-    uint64_t payload = 0;
+  Rid rid;
+  if (best_cols > 0) {
+    ExecContext ctx;  // DML reads the current committed state: no snapshot
+    ctx.clock = clock_;
+    R3_RETURN_IF_ERROR(range.Seek());
     while (true) {
-      R3_ASSIGN_OR_RETURN(bool ok, cursor.Next(&key, &payload));
-      if (!ok || (!stop.empty() && key >= stop)) break;
-      clock_->ChargeDbmsTuple();
-      Rid rid = Rid::Unpack(payload);
-      Status got = table->storage->Get(rid, &rec);
-      // Under deferred index cleanup a probe can land on the entry of an
-      // MVCC-deleted row. DML reads current committed state, so the ghost
-      // is simply not a match.
-      if (got.code() == StatusCode::kNotFound) continue;
-      R3_RETURN_IF_ERROR(got);
+      R3_ASSIGN_OR_RETURN(bool ok, range.Next(ctx, &rid, &rec));
+      if (!ok) break;
       R3_RETURN_IF_ERROR(DeserializeRow(table->schema, rec, &row));
       ec.row = &row;
       R3_ASSIGN_OR_RETURN(bool match, EvalPredicate(*where, ec));
@@ -881,7 +854,6 @@ Status Database::CollectMatches(TableInfo* table, const Expr* where,
   }
 
   std::unique_ptr<RecordIterator> it = table->storage->NewIterator();
-  Rid rid;
   while (true) {
     R3_ASSIGN_OR_RETURN(bool ok, it->Next(&rid, &rec));
     if (!ok) break;

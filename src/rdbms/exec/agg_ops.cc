@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/str_util.h"
 #include "rdbms/exec/agg_state.h"
@@ -9,26 +8,81 @@
 namespace r3 {
 namespace rdbms {
 
-namespace {
-
-std::string Indent(const std::string& s) {
-  std::string out;
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find('\n', start);
-    if (end == std::string::npos) end = s.size();
-    out += "  " + s.substr(start, end - start) + "\n";
-    start = end + 1;
-  }
-  if (!out.empty() && out.back() == '\n') out.pop_back();
-  return out;
+AggTable::AggTable(const std::vector<const Expr*>& group_exprs,
+                   const std::vector<const Expr*>& agg_calls, size_t reserve)
+    : group_exprs_(group_exprs), agg_calls_(agg_calls) {
+  if (reserve > 0) groups_.reserve(reserve);
 }
 
-// Cap on speculative reserve() sizing so a wild cardinality estimate cannot
-// allocate an absurd table up front.
-constexpr uint64_t kMaxReserve = 1u << 20;
+Status AggTable::Add(const RowBatch& batch, const ExecContext& ctx) {
+  EvalContext ec = ctx.MakeEvalContext(nullptr);
+  for (size_t r = 0; r < batch.size(); ++r) {
+    ctx.clock->ChargeDbmsTuple();
+    ec.row = &batch.row(r);
+    key_.clear();
+    keys_.clear();
+    for (const Expr* g : group_exprs_) {
+      Value v;
+      R3_RETURN_IF_ERROR(EvalExpr(*g, ec, &v));
+      key_codec::EncodeValue(v, &key_);
+      keys_.push_back(std::move(v));
+    }
+    auto [it, inserted] = groups_.try_emplace(key_);
+    if (inserted) {
+      it->second.keys = keys_;
+      it->second.states.resize(agg_calls_.size());
+    }
+    for (size_t i = 0; i < agg_calls_.size(); ++i) {
+      const Expr& call = *agg_calls_[i];
+      Value arg;
+      if (call.agg_func != AggFunc::kCountStar) {
+        R3_RETURN_IF_ERROR(EvalExpr(*call.children[0], ec, &arg));
+      }
+      it->second.states[i].Accumulate(call, arg);
+    }
+  }
+  return Status::OK();
+}
 
-}  // namespace
+void AggTable::Merge(AggTable&& other) {
+  for (auto& [key, group] : other.groups_) {
+    auto [it, inserted] = groups_.try_emplace(key);
+    if (inserted) {
+      it->second = std::move(group);
+    } else {
+      for (size_t i = 0; i < agg_calls_.size(); ++i) {
+        it->second.states[i].Merge(group.states[i]);
+      }
+    }
+  }
+}
+
+std::vector<Row> AggTable::Finish() {
+  std::vector<Row> results;
+  if (groups_.empty() && group_exprs_.empty()) {
+    Row out;
+    for (const Expr* call : agg_calls_) {
+      out.push_back(AggState().Finalize(*call));
+    }
+    results.push_back(std::move(out));
+    return results;
+  }
+  // Encoded-key order keeps the result order deterministic.
+  std::vector<std::pair<const std::string*, Group*>> ordered;
+  ordered.reserve(groups_.size());
+  for (auto& [k, g] : groups_) ordered.emplace_back(&k, &g);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  results.reserve(ordered.size());
+  for (auto& [k, g] : ordered) {
+    Row out = std::move(g->keys);
+    for (size_t i = 0; i < agg_calls_.size(); ++i) {
+      out.push_back(g->states[i].Finalize(*agg_calls_[i]));
+    }
+    results.push_back(std::move(out));
+  }
+  return results;
+}
 
 HashAggOp::HashAggOp(OperatorPtr child, std::vector<const Expr*> group_exprs,
                      std::vector<const Expr*> agg_calls,
@@ -43,77 +97,15 @@ Status HashAggOp::OpenImpl(ExecContext* ctx) {
   results_.clear();
   pos_ = 0;
   R3_RETURN_IF_ERROR(child_->Open(ctx));
-
-  struct Group {
-    Row keys;
-    std::vector<AggState> states;
-  };
-  std::unordered_map<std::string, Group> groups;
-  if (est_input_rows_ > 0) {
-    groups.reserve(static_cast<size_t>(
-        std::min<uint64_t>(est_input_rows_, kMaxReserve)));
-  }
-
-  Row keys;
-  std::string key;  // reused encode buffer — no per-row allocation
-  EvalContext ec = ctx_->MakeEvalContext(nullptr);
+  AggTable groups(group_exprs_, agg_calls_, CappedReserve(est_input_rows_));
   while (true) {
     child_batch_.Reset(ctx->batch_size);
     R3_ASSIGN_OR_RETURN(bool ok, child_->NextBatch(&child_batch_));
     if (!ok) break;
-    for (size_t r = 0; r < child_batch_.size(); ++r) {
-      ctx_->clock->ChargeDbmsTuple();
-      ec.row = &child_batch_.row(r);
-      key.clear();
-      keys.clear();
-      for (const Expr* g : group_exprs_) {
-        Value v;
-        R3_RETURN_IF_ERROR(EvalExpr(*g, ec, &v));
-        key_codec::EncodeValue(v, &key);
-        keys.push_back(std::move(v));
-      }
-      auto [it, inserted] = groups.try_emplace(key);
-      if (inserted) {
-        it->second.keys = keys;
-        it->second.states.resize(agg_calls_.size());
-      }
-      for (size_t i = 0; i < agg_calls_.size(); ++i) {
-        const Expr& call = *agg_calls_[i];
-        Value arg;
-        if (call.agg_func != AggFunc::kCountStar) {
-          R3_RETURN_IF_ERROR(EvalExpr(*call.children[0], ec, &arg));
-        }
-        it->second.states[i].Accumulate(call, arg);
-      }
-    }
+    R3_RETURN_IF_ERROR(groups.Add(child_batch_, *ctx));
   }
   R3_RETURN_IF_ERROR(child_->Close());
-
-  if (groups.empty() && group_exprs_.empty()) {
-    // Aggregates over empty input without GROUP BY: one row of "empties".
-    Row out;
-    for (const Expr* call : agg_calls_) {
-      AggState empty;
-      out.push_back(empty.Finalize(*call));
-    }
-    results_.push_back(std::move(out));
-    return Status::OK();
-  }
-  // Emit in encoded-key order (what the previous std::map implementation
-  // produced) so result order stays deterministic.
-  std::vector<std::pair<const std::string*, Group*>> ordered;
-  ordered.reserve(groups.size());
-  for (auto& [k, g] : groups) ordered.emplace_back(&k, &g);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  results_.reserve(ordered.size());
-  for (auto& [k, g] : ordered) {
-    Row out = std::move(g->keys);
-    for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      out.push_back(g->states[i].Finalize(*agg_calls_[i]));
-    }
-    results_.push_back(std::move(out));
-  }
+  results_ = groups.Finish();
   return Status::OK();
 }
 

@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "rdbms/exec/executor.h"
 #include "rdbms/expr/expr.h"
 #include "rdbms/index/key_codec.h"
 #include "rdbms/value.h"
@@ -93,6 +96,39 @@ struct AggState {
     }
     return Value::Null();
   }
+};
+
+/// One hash-aggregation table: a group per encoded GROUP BY key, holding
+/// the key values and one AggState per aggregate call. HashAggOp fills one;
+/// GatherOp's partial aggregation fills one per lane and merges them in lane
+/// order, so both emit the same groups in the same order.
+class AggTable {
+ public:
+  AggTable(const std::vector<const Expr*>& group_exprs,
+           const std::vector<const Expr*>& agg_calls, size_t reserve);
+
+  /// Folds every row of `batch` into its group, charging one DBMS tuple per
+  /// row (to the calling thread's lane inside a parallel region).
+  Status Add(const RowBatch& batch, const ExecContext& ctx);
+
+  /// Folds the groups of `other` (same calls, disjoint input rows) into
+  /// this table.
+  void Merge(AggTable&& other);
+
+  /// Result rows, group keys then finalized aggregates, in encoded-key
+  /// order; without GROUP BY, an empty input yields one row of empties.
+  std::vector<Row> Finish();
+
+ private:
+  struct Group {
+    Row keys;
+    std::vector<AggState> states;
+  };
+  const std::vector<const Expr*>& group_exprs_;
+  const std::vector<const Expr*>& agg_calls_;
+  std::unordered_map<std::string, Group> groups_;
+  std::string key_;  ///< per-row encode scratch
+  Row keys_;         ///< per-row key values scratch
 };
 
 }  // namespace rdbms

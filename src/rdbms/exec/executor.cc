@@ -4,15 +4,10 @@
 
 #include "common/str_util.h"
 #include "rdbms/index/key_codec.h"
-#include "rdbms/storage/page.h"
-#include "rdbms/txn/mvcc.h"
 
 namespace r3 {
 namespace rdbms {
 
-namespace {
-
-/// Indents every line of a child's debug string.
 std::string Indent(const std::string& s) {
   std::string out;
   size_t start = 0;
@@ -26,7 +21,9 @@ std::string Indent(const std::string& s) {
   return out;
 }
 
-}  // namespace
+size_t CappedReserve(uint64_t est_rows) {
+  return static_cast<size_t>(std::min<uint64_t>(est_rows, 1u << 20));
+}
 
 // ---------------------------------------------------------------------------
 // Operator wrappers
@@ -116,29 +113,6 @@ std::string ExplainPlan(const Operator& root, bool analyze) {
 std::string RowKey(const Row& row) { return key_codec::Encode(row); }
 std::string ValuesKey(const std::vector<Value>& values) {
   return key_codec::Encode(values);
-}
-
-Result<bool> MvccFetchRow(const ExecContext& ctx, const TableInfo* table,
-                          Rid rid, std::string* rec) {
-  // Deletes remove B-tree entries eagerly, so a live entry whose row is
-  // gone means index and heap disagree: the miss surfaces as an error.
-  R3_RETURN_IF_ERROR(table->storage->Get(rid, rec));
-  if (ctx.mvcc == nullptr || ctx.snapshot == nullptr ||
-      !ctx.mvcc->MightHaveVersions(table->storage->file_id())) {
-    return true;
-  }
-  std::string alt;
-  switch (
-      ctx.mvcc->Check(table->storage->file_id(), rid, *ctx.snapshot, &alt)) {
-    case txn::MvccManager::Visibility::kCurrent:
-      return true;
-    case txn::MvccManager::Visibility::kAltVersion:
-      *rec = std::move(alt);
-      return true;
-    case txn::MvccManager::Visibility::kInvisible:
-      return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -290,132 +264,20 @@ IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
 
 Status IndexScanOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
-  done_ = false;
-  key_ranges_.clear();
-  next_range_ = 0;
-  // Evaluate the bound expressions (no row context: literals/params only).
-  EvalContext ec = ctx_->MakeEvalContext(nullptr);
-  std::string prefix;
-  for (size_t i = 0; i < bounds_.eq_exprs.size(); ++i) {
-    Value v;
-    R3_RETURN_IF_ERROR(EvalExpr(*bounds_.eq_exprs[i], ec, &v));
-    // Cast to the index column's type so encodings line up.
-    size_t col = index_->column_indices[i];
-    R3_ASSIGN_OR_RETURN(v, v.CastTo(table_->schema.column(col).type));
-    key_codec::EncodeValue(v, &prefix);
-  }
-  if (!bounds_.ranges.empty()) {
-    // Multi-range (optimizer v2): compile every range to an encoded
-    // (start, stop) pair, then sort and merge overlaps so the scan emits
-    // each qualifying row exactly once, in key order.
-    const size_t col = index_->column_indices[bounds_.eq_exprs.size()];
-    const DataType ct = table_->schema.column(col).type;
-    auto encode = [&](const Expr& e, std::string* out_key) -> Status {
-      Value v;
-      R3_RETURN_IF_ERROR(EvalExpr(e, ec, &v));
-      R3_ASSIGN_OR_RETURN(v, v.CastTo(ct));
-      *out_key = prefix;
-      key_codec::EncodeValue(v, out_key);
-      return Status::OK();
-    };
-    for (const IndexRange& r : bounds_.ranges) {
-      std::string start = prefix;
-      std::string stop = key_codec::PrefixUpperBound(prefix);
-      std::string enc;
-      if (r.point != nullptr) {
-        R3_RETURN_IF_ERROR(encode(*r.point, &enc));
-        start = enc;
-        stop = key_codec::PrefixUpperBound(enc);
-      } else {
-        if (r.lower != nullptr) {
-          R3_RETURN_IF_ERROR(encode(*r.lower, &enc));
-          start = r.lower_inclusive ? enc : key_codec::PrefixUpperBound(enc);
-        }
-        if (r.upper != nullptr) {
-          R3_RETURN_IF_ERROR(encode(*r.upper, &enc));
-          stop = r.upper_inclusive ? key_codec::PrefixUpperBound(enc) : enc;
-        }
-      }
-      if (!stop.empty() && start >= stop) continue;  // provably empty
-      key_ranges_.emplace_back(std::move(start), std::move(stop));
-    }
-    std::sort(key_ranges_.begin(), key_ranges_.end());
-    std::vector<std::pair<std::string, std::string>> merged;
-    for (auto& kr : key_ranges_) {
-      if (!merged.empty()) {
-        auto& last = merged.back();
-        const bool last_unbounded = last.second.empty();
-        if (last_unbounded || kr.first <= last.second) {
-          if (last_unbounded || kr.second.empty()) {
-            last.second.clear();
-          } else if (kr.second > last.second) {
-            last.second = kr.second;
-          }
-          continue;
-        }
-      }
-      merged.push_back(std::move(kr));
-    }
-    key_ranges_ = std::move(merged);
-    R3_ASSIGN_OR_RETURN(bool any, SeekNextRange());
-    done_ = !any;
-    return Status::OK();
-  }
-  std::string start = prefix;
-  stop_key_ = key_codec::PrefixUpperBound(prefix);
-  size_t range_col_pos = bounds_.eq_exprs.size();
-  if (bounds_.lower != nullptr) {
-    Value v;
-    R3_RETURN_IF_ERROR(EvalExpr(*bounds_.lower, ec, &v));
-    size_t col = index_->column_indices[range_col_pos];
-    R3_ASSIGN_OR_RETURN(v, v.CastTo(table_->schema.column(col).type));
-    std::string enc = prefix;
-    key_codec::EncodeValue(v, &enc);
-    start = bounds_.lower_inclusive ? enc : key_codec::PrefixUpperBound(enc);
-  }
-  if (bounds_.upper != nullptr) {
-    Value v;
-    R3_RETURN_IF_ERROR(EvalExpr(*bounds_.upper, ec, &v));
-    size_t col = index_->column_indices[range_col_pos];
-    R3_ASSIGN_OR_RETURN(v, v.CastTo(table_->schema.column(col).type));
-    std::string enc = prefix;
-    key_codec::EncodeValue(v, &enc);
-    stop_key_ = bounds_.upper_inclusive ? key_codec::PrefixUpperBound(enc) : enc;
-  }
-  R3_ASSIGN_OR_RETURN(BTree::Cursor c, index_->btree->Seek(start));
-  cursor_ = std::make_unique<BTree::Cursor>(std::move(c));
-  return Status::OK();
-}
-
-Result<bool> IndexScanOp::SeekNextRange() {
-  if (next_range_ >= key_ranges_.size()) return false;
-  const auto& kr = key_ranges_[next_range_++];
-  stop_key_ = kr.second;
-  R3_ASSIGN_OR_RETURN(BTree::Cursor c, index_->btree->Seek(kr.first));
-  cursor_ = std::make_unique<BTree::Cursor>(std::move(c));
-  return true;
+  R3_RETURN_IF_ERROR(range_.Compile(*table_, *index_, bounds_,
+                                    ctx_->MakeEvalContext(nullptr)));
+  return range_.Seek();
 }
 
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
-  if (done_) return false;
   EvalContext ec = ctx_->MakeEvalContext(nullptr);
-  std::string key;
-  uint64_t payload = 0;
-  while (!out->full() && !done_) {
+  Rid rid;
+  bool more = true;
+  while (more && !out->full()) {
     size_t first = out->size();
     while (!out->full()) {
-      R3_ASSIGN_OR_RETURN(bool ok, cursor_->Next(&key, &payload));
-      if (!ok || (!stop_key_.empty() && key >= stop_key_)) {
-        R3_ASSIGN_OR_RETURN(bool more, SeekNextRange());
-        if (more) continue;
-        done_ = true;
-        break;
-      }
-      ctx_->clock->ChargeDbmsTuple();
-      R3_ASSIGN_OR_RETURN(
-          bool visible,
-          MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
-      if (!visible) continue;  // row created after this statement's snapshot
+      R3_ASSIGN_OR_RETURN(more, range_.Next(*ctx_, &rid, &rec_));
+      if (!more) break;
       Row& wide = out->AppendRow();
       wide.assign(wide_width_, Value::Null());
       R3_RETURN_IF_ERROR(DecodeRowInto(table_->schema, rec_, needed_cols_,
@@ -430,19 +292,21 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-Status IndexScanOp::CloseImpl() {
-  cursor_.reset();
-  return Status::OK();
-}
+Status IndexScanOp::CloseImpl() { return Status::OK(); }
 
 std::string IndexScanOp::Describe(bool analyze) const {
   std::string out = "IndexScan(" + table_->name + " via " + index_->name;
   out += str::Format(", eq=%zu", bounds_.eq_exprs.size());
-  if (!bounds_.ranges.empty()) {
-    // v2 multi-range rendering (never produced by legacy plans).
-    out += str::Format(", ranges=%zu{", bounds_.ranges.size());
-    for (size_t i = 0; i < bounds_.ranges.size(); ++i) {
-      const IndexRange& r = bounds_.ranges[i];
+  const std::vector<IndexRange>& ranges = bounds_.ranges;
+  if (ranges.size() == 1 && ranges[0].point == nullptr) {
+    // One contiguous range renders as lo=/hi=, as before multi-range.
+    const IndexRange& r = ranges[0];
+    if (r.lower != nullptr) out += ", lo=" + r.lower->ToString();
+    if (r.upper != nullptr) out += ", hi=" + r.upper->ToString();
+  } else if (!ranges.empty()) {
+    out += str::Format(", ranges=%zu{", ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const IndexRange& r = ranges[i];
       if (i > 0) out += ",";
       if (r.point != nullptr) {
         out += "=" + r.point->ToString();
@@ -456,8 +320,6 @@ std::string IndexScanOp::Describe(bool analyze) const {
     }
     out += "}";
   }
-  if (bounds_.lower != nullptr) out += ", lo=" + bounds_.lower->ToString();
-  if (bounds_.upper != nullptr) out += ", hi=" + bounds_.upper->ToString();
   for (const Expr* f : filters_) out += ", " + f->ToString();
   return out + ")" + StatsSuffix(analyze);
 }

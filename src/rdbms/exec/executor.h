@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "rdbms/catalog.h"
+#include "rdbms/exec/key_range.h"
 #include "rdbms/expr/eval.h"
 #include "rdbms/expr/expr.h"
 #include "rdbms/row.h"
@@ -164,13 +165,12 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// every node is annotated with its accumulated runtime counters.
 std::string ExplainPlan(const Operator& root, bool analyze = false);
 
-/// MVCC-aware heap fetch for index-driven operators: reads the row at `rid`
-/// into `*rec` and substitutes the snapshot-visible version when the current
-/// heap image is newer than the statement's snapshot. Returns false when no
-/// version of the row is visible (caller skips it). With no MVCC context on
-/// `ctx` this is exactly `storage->Get`.
-Result<bool> MvccFetchRow(const ExecContext& ctx, const TableInfo* table,
-                          Rid rid, std::string* rec);
+/// Indents every line of a child's Describe() text by two spaces.
+std::string Indent(const std::string& s);
+
+/// Caps speculative reserve() sizing so a wild cardinality estimate cannot
+/// allocate an absurd hash table up front.
+size_t CappedReserve(uint64_t est_rows);
 
 // ---------------------------------------------------------------------------
 // Scans
@@ -221,38 +221,10 @@ class SeqScanOp : public Operator {
   SelVector sel_;
 };
 
-/// Bounds of an index scan. Leading index columns are constrained by
-/// equality (`eq_exprs`), optionally followed by a range on the next column.
-/// All bound expressions are evaluated once at Open (literals or `?`
-/// parameters) — or per probe against the left row for index-nested-loops
-/// (see IndexNLJoinOp, which evaluates them itself).
-/// One range on the index column after the equality prefix. A point range
-/// (`a IN (…)` item, OR'd equality) sets `point`; otherwise lower/upper with
-/// open/closed edges (either side may be absent).
-struct IndexRange {
-  const Expr* point = nullptr;
-  const Expr* lower = nullptr;
-  bool lower_inclusive = true;
-  const Expr* upper = nullptr;
-  bool upper_inclusive = true;
-};
-
-struct IndexBounds {
-  std::vector<const Expr*> eq_exprs;
-  const Expr* lower = nullptr;  ///< range lower bound (on next column)
-  bool lower_inclusive = true;
-  const Expr* upper = nullptr;
-  bool upper_inclusive = true;
-  /// Optimizer-v2 multi-range access (`a IN (…)`, OR-of-ranges): when
-  /// non-empty the scan visits each range in key order and the single-range
-  /// fields above are ignored. Only v2 plans (bind peeking on) produce
-  /// these, so legacy plan text never changes.
-  std::vector<IndexRange> ranges;
-};
-
-/// Index range scan + heap fetch; the random fetches charge the cost model
-/// through the buffer pool (the Table 6 effect). Decodes only `needed_cols`
-/// of each fetched row, like SeqScanOp.
+/// Index range scan + heap fetch over a KeyRangeCursor; the random fetches
+/// charge the cost model through the buffer pool (the Table 6 effect).
+/// Bounds are evaluated once per Open (literals and `?` parameters).
+/// Decodes only `needed_cols` of each fetched row, like SeqScanOp.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, size_t offset,
@@ -269,10 +241,6 @@ class IndexScanOp : public Operator {
   Status CloseImpl() override;
 
  private:
-  /// Seeks the cursor to the next compiled key range; false when all ranges
-  /// are exhausted.
-  Result<bool> SeekNextRange();
-
   const TableInfo* table_;
   const IndexInfo* index_;
   size_t offset_;
@@ -281,15 +249,9 @@ class IndexScanOp : public Operator {
   std::vector<const Expr*> filters_;
   std::optional<std::vector<size_t>> needed_cols_;
   ExecContext* ctx_ = nullptr;
-  std::unique_ptr<BTree::Cursor> cursor_;
-  std::string stop_key_;  ///< exclusive upper bound ("" = none)
-  bool done_ = false;
+  KeyRangeCursor range_;
   std::string rec_;  // heap-fetch scratch
   SelVector sel_;
-  /// Multi-range execution state: encoded (start, stop) per range, sorted
-  /// and merged at Open; `next_range_` is the next one to seek.
-  std::vector<std::pair<std::string, std::string>> key_ranges_;
-  size_t next_range_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -490,14 +452,11 @@ class IndexNLJoinOp : public Operator {
   Status CloseImpl() override;
 
  private:
-  /// Computes the probe key and cursor for the current left row.
-  Status BeginProbe(EvalContext* ec);
-
   OperatorPtr left_;
   const TableInfo* table_;
   const IndexInfo* index_;
   size_t table_offset_;
-  std::vector<const Expr*> key_exprs_;
+  IndexBounds keys_;  ///< equality prefix only, over the left row
   std::vector<const Expr*> residual_;
   bool preserve_left_;
   std::optional<std::vector<size_t>> needed_cols_;
@@ -507,9 +466,7 @@ class IndexNLJoinOp : public Operator {
   size_t left_pos_ = 0;
   bool have_left_ = false;
   bool left_done_ = false;
-  std::unique_ptr<BTree::Cursor> cursor_;
-  std::string probe_key_;
-  std::string stop_key_;  ///< per-probe upper bound, computed once per probe
+  KeyRangeCursor range_;  ///< the current left row's probe
   bool emitted_for_left_ = false;
   std::string rec_;  // heap-fetch scratch
 };

@@ -10,19 +10,6 @@ namespace rdbms {
 
 namespace {
 
-std::string Indent(const std::string& s) {
-  std::string out;
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find('\n', start);
-    if (end == std::string::npos) end = s.size();
-    out += "  " + s.substr(start, end - start) + "\n";
-    start = end + 1;
-  }
-  if (!out.empty() && out.back() == '\n') out.pop_back();
-  return out;
-}
-
 /// Copies a packed build row (see PackRanges) back into its ranges of `dst`.
 void MergePacked(const Row& packed, const std::vector<FilledRange>& ranges,
                  Row* dst) {
@@ -48,8 +35,6 @@ void NullRanges(const std::vector<FilledRange>& ranges, Row* dst) {
     }
   }
 }
-
-constexpr uint64_t kMaxReserve = 1u << 20;
 
 }  // namespace
 
@@ -117,8 +102,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   probe_pos_ = 0;
 
   if (est_build_rows_ > 0) {
-    table_.reserve(
-        static_cast<size_t>(std::min<uint64_t>(est_build_rows_, kMaxReserve)));
+    table_.reserve(CappedReserve(est_build_rows_));
   }
   // A Gather build child runs the scan + key evaluation on its worker pool
   // (partitioned build); the serial path drains the child batch by batch
@@ -242,7 +226,7 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr left, const TableInfo* table,
       table_(table),
       index_(index),
       table_offset_(table_offset),
-      key_exprs_(std::move(key_exprs)),
+      keys_{std::move(key_exprs), {}},
       residual_(std::move(residual)),
       preserve_left_(preserve_left),
       needed_cols_(std::move(needed_cols)) {}
@@ -251,39 +235,15 @@ Status IndexNLJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
   left_done_ = false;
   have_left_ = false;
-  cursor_.reset();
   emitted_for_left_ = false;
   left_batch_.Clear();
   left_pos_ = 0;
   return left_->Open(ctx);
 }
 
-Status IndexNLJoinOp::BeginProbe(EvalContext* ec) {
-  emitted_for_left_ = false;
-  // Compute the probe key; NULL key means no matches.
-  ec->row = &left_batch_.row(left_pos_);
-  probe_key_.clear();
-  stop_key_.clear();
-  cursor_.reset();
-  for (size_t i = 0; i < key_exprs_.size(); ++i) {
-    Value v;
-    R3_RETURN_IF_ERROR(EvalExpr(*key_exprs_[i], *ec, &v));
-    if (v.is_null()) return Status::OK();  // no cursor -> no matches
-    size_t col = index_->column_indices[i];
-    R3_ASSIGN_OR_RETURN(v, v.CastTo(table_->schema.column(col).type));
-    key_codec::EncodeValue(v, &probe_key_);
-  }
-  // Computed once per probe, not per fetched index entry.
-  stop_key_ = key_codec::PrefixUpperBound(probe_key_);
-  R3_ASSIGN_OR_RETURN(BTree::Cursor c, index_->btree->Seek(probe_key_));
-  cursor_ = std::make_unique<BTree::Cursor>(std::move(c));
-  return Status::OK();
-}
-
 Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
   EvalContext ec = ctx_->MakeEvalContext(nullptr);
-  std::string key;
-  uint64_t payload = 0;
+  Rid rid;
   while (!left_done_) {
     if (!have_left_) {
       if (left_pos_ >= left_batch_.size()) {
@@ -296,27 +256,22 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
         R3_ASSIGN_OR_RETURN(bool ok, left_->NextBatch(&left_batch_));
         if (!ok) {
           left_done_ = true;
-          cursor_.reset();
           break;
         }
         left_pos_ = 0;
       }
-      R3_RETURN_IF_ERROR(BeginProbe(&ec));
+      // Probe with this left row's key; a NULL key compiles to no range.
+      emitted_for_left_ = false;
+      ec.row = &left_batch_.row(left_pos_);
+      R3_RETURN_IF_ERROR(range_.Compile(*table_, *index_, keys_, ec));
+      R3_RETURN_IF_ERROR(range_.Seek());
       have_left_ = true;
     }
     const Row& left_row = left_batch_.row(left_pos_);
-    while (cursor_ != nullptr) {
+    while (true) {
       if (out->full()) return true;  // resume from the cursor on re-entry
-      R3_ASSIGN_OR_RETURN(bool ok, cursor_->Next(&key, &payload));
-      if (!ok || (!stop_key_.empty() && key >= stop_key_)) {
-        cursor_.reset();
-        break;
-      }
-      ctx_->clock->ChargeDbmsTuple();
-      R3_ASSIGN_OR_RETURN(
-          bool visible,
-          MvccFetchRow(*ctx_, table_, Rid::Unpack(payload), &rec_));
-      if (!visible) continue;  // row created after this statement's snapshot
+      R3_ASSIGN_OR_RETURN(bool ok, range_.Next(*ctx_, &rid, &rec_));
+      if (!ok) break;
       Row& candidate = out->AppendRow();
       candidate = left_row;  // the inner table's positions are NULL here
       R3_RETURN_IF_ERROR(DecodeRowInto(table_->schema, rec_, needed_cols_,
@@ -341,17 +296,14 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-Status IndexNLJoinOp::CloseImpl() {
-  cursor_.reset();
-  return left_->Close();
-}
+Status IndexNLJoinOp::CloseImpl() { return left_->Close(); }
 
 std::string IndexNLJoinOp::Describe(bool analyze) const {
   std::string out = preserve_left_ ? "IndexNLOuterJoin(" : "IndexNLJoin(";
   out += table_->name + " via " + index_->name + ", keys=";
-  for (size_t i = 0; i < key_exprs_.size(); ++i) {
+  for (size_t i = 0; i < keys_.eq_exprs.size(); ++i) {
     if (i != 0) out += ",";
-    out += key_exprs_[i]->ToString();
+    out += keys_.eq_exprs[i]->ToString();
   }
   for (const Expr* r : residual_) out += ", " + r->ToString();
   return out + ")" + StatsSuffix(analyze) + "\n" +

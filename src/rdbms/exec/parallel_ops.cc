@@ -1,40 +1,15 @@
 #include "rdbms/exec/parallel_ops.h"
 
 #include <algorithm>
-#include <map>
 #include <thread>
 
 #include "common/str_util.h"
 #include "rdbms/exec/agg_state.h"
-#include "rdbms/index/key_codec.h"
 #include "rdbms/storage/page.h"
 #include "rdbms/txn/mvcc.h"
 
 namespace r3 {
 namespace rdbms {
-
-namespace {
-
-std::string Indent(const std::string& s) {
-  std::string out;
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find('\n', start);
-    if (end == std::string::npos) end = s.size();
-    out += "  " + s.substr(start, end - start) + "\n";
-    start = end + 1;
-  }
-  if (!out.empty() && out.back() == '\n') out.pop_back();
-  return out;
-}
-
-constexpr uint64_t kMaxReserve = 1u << 20;
-
-size_t CappedReserve(uint64_t est) {
-  return static_cast<size_t>(std::min<uint64_t>(est, kMaxReserve));
-}
-
-}  // namespace
 
 GatherOp::GatherOp(const TableInfo* table, size_t offset, size_t wide_width,
                    std::vector<const Expr*> filters,
@@ -228,87 +203,24 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
         });
   }
 
-  // kPartialAgg: each lane accumulates into a private aggregation table.
-  struct Group {
-    Row keys;
-    std::vector<AggState> states;
-  };
-  std::vector<std::unordered_map<std::string, Group>> partials(
-      static_cast<size_t>(dop_));
-  if (est_rows_ > 0) {
-    for (auto& p : partials) {
-      p.reserve(CappedReserve(est_rows_ / static_cast<uint64_t>(dop_) + 1));
-    }
+  // kPartialAgg: each lane accumulates into a private aggregation table;
+  // the barrier merges them in lane order.
+  const size_t reserve =
+      est_rows_ > 0 ? CappedReserve(est_rows_ / static_cast<uint64_t>(dop_) + 1)
+                    : 0;
+  std::vector<AggTable> partials;
+  partials.reserve(static_cast<size_t>(dop_));
+  for (int lane = 0; lane < dop_; ++lane) {
+    partials.emplace_back(group_exprs_, agg_calls_, reserve);
   }
-  std::vector<std::string> key_scratch(static_cast<size_t>(dop_));
-  std::vector<Row> keys_scratch(static_cast<size_t>(dop_));
-
-  Status st = RunParallel(
+  R3_RETURN_IF_ERROR(RunParallel(
       ctx, [&](size_t /*morsel*/, size_t lane, RowBatch* batch) -> Status {
-        EvalContext ec = ctx->MakeEvalContext(nullptr);
-        std::string& key = key_scratch[lane];
-        Row& keys = keys_scratch[lane];
-        for (size_t r = 0; r < batch->size(); ++r) {
-          ctx->clock->ChargeDbmsTuple();  // aggregation CPU, charged in-lane
-          ec.row = &batch->row(r);
-          key.clear();
-          keys.clear();
-          for (const Expr* g : group_exprs_) {
-            Value v;
-            R3_RETURN_IF_ERROR(EvalExpr(*g, ec, &v));
-            key_codec::EncodeValue(v, &key);
-            keys.push_back(std::move(v));
-          }
-          auto [it, inserted] = partials[lane].try_emplace(key);
-          if (inserted) {
-            it->second.keys = keys;
-            it->second.states.resize(agg_calls_.size());
-          }
-          for (size_t i = 0; i < agg_calls_.size(); ++i) {
-            const Expr& call = *agg_calls_[i];
-            Value arg;
-            if (call.agg_func != AggFunc::kCountStar) {
-              R3_RETURN_IF_ERROR(EvalExpr(*call.children[0], ec, &arg));
-            }
-            it->second.states[i].Accumulate(call, arg);
-          }
-        }
-        return Status::OK();
-      });
-  R3_RETURN_IF_ERROR(st);
-
-  // Merge the partials (lane order, then encoded-key order for output —
-  // matching the serial HashAggOp's emission order).
-  std::map<std::string, Group> merged;
-  for (auto& partial : partials) {
-    for (auto& [key, group] : partial) {
-      auto [it, inserted] = merged.try_emplace(key);
-      if (inserted) {
-        it->second = std::move(group);
-      } else {
-        for (size_t i = 0; i < agg_calls_.size(); ++i) {
-          it->second.states[i].Merge(group.states[i]);
-        }
-      }
-    }
+        return partials[lane].Add(*batch, *ctx);
+      }));
+  for (size_t lane = 1; lane < partials.size(); ++lane) {
+    partials[0].Merge(std::move(partials[lane]));
   }
-  if (merged.empty() && group_exprs_.empty()) {
-    Row out;
-    for (const Expr* call : agg_calls_) {
-      AggState empty;
-      out.push_back(empty.Finalize(*call));
-    }
-    agg_results_.push_back(std::move(out));
-    return Status::OK();
-  }
-  agg_results_.reserve(merged.size());
-  for (auto& [key, group] : merged) {
-    Row out = std::move(group.keys);
-    for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      out.push_back(group.states[i].Finalize(*agg_calls_[i]));
-    }
-    agg_results_.push_back(std::move(out));
-  }
+  agg_results_ = partials[0].Finish();
   return Status::OK();
 }
 

@@ -8,19 +8,6 @@ namespace rdbms {
 
 namespace {
 
-std::string Indent(const std::string& s) {
-  std::string out;
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find('\n', start);
-    if (end == std::string::npos) end = s.size();
-    out += "  " + s.substr(start, end - start) + "\n";
-    start = end + 1;
-  }
-  if (!out.empty() && out.back() == '\n') out.pop_back();
-  return out;
-}
-
 size_t ApproxRowBytes(const Row& row) {
   size_t n = 0;
   for (const Value& v : row) {

@@ -478,6 +478,7 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
     }
     // Optional range on the next column.
     if (k < idx->column_indices.size()) {
+      IndexRange range;  // comparisons and BETWEEN fold into one range
       for (const Expr* c : singles) {
         if (consumed.count(c) > 0) continue;
         ColCompare cc;
@@ -487,19 +488,17 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
         bool unknown = false;
         double s = EstimateConjunctSelectivity(*c, t, &unknown, est);
         if (cc.is_between) {
-          if (bounds.lower != nullptr || bounds.upper != nullptr) continue;
-          bounds.lower = cc.value;
-          bounds.lower_inclusive = true;
-          bounds.upper = cc.value2;
-          bounds.upper_inclusive = true;
+          if (range.lower != nullptr || range.upper != nullptr) continue;
+          range.lower = cc.value;
+          range.upper = cc.value2;
         } else if ((cc.op == CmpOp::kGt || cc.op == CmpOp::kGe) &&
-                   bounds.lower == nullptr) {
-          bounds.lower = cc.value;
-          bounds.lower_inclusive = cc.op == CmpOp::kGe;
+                   range.lower == nullptr) {
+          range.lower = cc.value;
+          range.lower_inclusive = cc.op == CmpOp::kGe;
         } else if ((cc.op == CmpOp::kLt || cc.op == CmpOp::kLe) &&
-                   bounds.upper == nullptr) {
-          bounds.upper = cc.value;
-          bounds.upper_inclusive = cc.op == CmpOp::kLe;
+                   range.upper == nullptr) {
+          range.upper = cc.value;
+          range.upper_inclusive = cc.op == CmpOp::kLe;
         } else {
           continue;
         }
@@ -507,10 +506,13 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
         any_unknown = any_unknown || unknown;
         consumed.insert(c);
       }
+      if (range.lower != nullptr || range.upper != nullptr) {
+        bounds.ranges.push_back(range);
+      }
       // v2 multi-range: when no contiguous range folded in, try `a IN (…)`
       // or an OR-of-ranges on this column — each becomes one key range of
       // the same IndexScan (one descent per range).
-      if (est.v2 && bounds.lower == nullptr && bounds.upper == nullptr) {
+      if (est.v2 && bounds.ranges.empty()) {
         const size_t range_col = idx->column_indices[k];
         for (const Expr* c : singles) {
           if (consumed.count(c) > 0) continue;

@@ -143,6 +143,75 @@ TEST(BatchSizeInvarianceTest, RowsAndSimTimesIdenticalAcrossBatchSizes) {
   }
 }
 
+// The index key-range cursor carries its position across NextBatch calls:
+// an IndexScan over several ranges and an IndexNLJoin over several probes
+// with several matches each return the same rows, in key order, and the
+// same simulated time whether a batch holds one row or many.
+TEST(BatchSizeInvarianceTest, IndexRangesAndProbesAcrossBatchSizes) {
+  struct Case {
+    std::string sql;
+    std::string plan_part;
+    std::vector<std::string> first_rows;
+    size_t rows;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT id FROM big WHERE id IN (4999, 3, 2500, 17, 3)", "ranges=5",
+       {"3|", "17|", "2500|", "4999|"}, 4},
+      // `id = 1` overlaps `id < 3`: the two merge into one descent.
+      {"SELECT id FROM big WHERE id < 3 OR id > 4996 OR id = 1", "ranges=3",
+       {"0|", "1|", "2|", "4997|", "4998|", "4999|"}, 6},
+      {"SELECT id FROM big WHERE id >= 2 AND id < 5", "lo=2, hi=5",
+       {"2|", "3|", "4|"}, 3},
+      {"SELECT drv.id, big.id FROM drv, big "
+       "WHERE big.grp = drv.g AND drv.id < 3",
+       "IndexNLJoin(big via big_grp", {"0|0|", "0|1000|", "0|2000|"}, 15},
+  };
+  std::vector<std::vector<int64_t>> times;
+  std::vector<std::vector<std::vector<std::string>>> rows;
+  for (size_t batch_rows : {size_t{1}, size_t{7}, kDefaultBatchRows}) {
+    Database db;
+    ASSERT_OK(db.Execute(
+        "CREATE TABLE big (id INT, grp INT, pad CHAR(60), PRIMARY KEY (id))"));
+    ASSERT_OK(db.Execute("CREATE INDEX big_grp ON big (grp)"));
+    ASSERT_OK(db.Execute("CREATE TABLE drv (id INT, g INT)"));
+    for (int64_t i = 0; i < 5000; ++i) {
+      ASSERT_OK(db.InsertRow(
+          "big", Row{Value::Int(i), Value::Int(i % 1000), Value::Str("p")}));
+    }
+    for (int64_t i = 0; i < 10; ++i) {
+      ASSERT_OK(db.InsertRow("drv", Row{Value::Int(i), Value::Int(i * 7)}));
+    }
+    ASSERT_OK(db.Analyze());
+    db.set_bind_peeking(true);
+    db.set_batch_rows(batch_rows);
+    times.emplace_back();
+    rows.emplace_back();
+    for (const Case& c : cases) {
+      auto plan = db.Explain(c.sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_NE(plan.value().find(c.plan_part), std::string::npos)
+          << plan.value();
+      ASSERT_OK(db.pool()->Reset());
+      SimTimer t(*db.clock());
+      auto res = db.Query(c.sql);
+      times.back().push_back(t.ElapsedUs());
+      ASSERT_TRUE(res.ok()) << c.sql << ": " << res.status().ToString();
+      rows.back().push_back(RowStrings(res.value()));
+      const std::vector<std::string>& got = rows.back().back();
+      ASSERT_EQ(got.size(), c.rows) << c.sql;
+      for (size_t i = 0; i < c.first_rows.size(); ++i) {
+        EXPECT_EQ(got[i], c.first_rows[i]) << c.sql << " row " << i;
+      }
+    }
+  }
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    for (size_t k = 1; k < times.size(); ++k) {
+      EXPECT_EQ(times[0][ci], times[k][ci]) << cases[ci].sql;
+      EXPECT_EQ(rows[0][ci], rows[k][ci]) << cases[ci].sql;
+    }
+  }
+}
+
 TEST(BatchExecTest, LimitCutsMidBatch) {
   auto db = MakeDb();
   for (size_t batch_rows : {size_t{1}, size_t{7}, kDefaultBatchRows}) {

@@ -287,6 +287,29 @@ TEST_F(PeekFixture, AnalyzeFlushesPlans) {
   EXPECT_EQ(CounterValue("rdbms.sql.prepared_cache_hits"), hits);
 }
 
+// A crash empties the buffer pool under every cached plan: after recovery
+// the same statement text is a miss and compiles again.
+TEST_F(PeekFixture, CrashFlushesPlans) {
+  MakeDb(EngineKind::kRowHeap);
+  ASSERT_OK(db_->EnableWal());
+  const std::string sql = "SELECT val FROM big WHERE id = ?";
+  ASSERT_OK(db_->Prepare(sql).status());
+  ASSERT_OK(db_->Prepare(sql).status());  // warm: a hit
+  const int64_t parses = CounterValue("rdbms.sql.hard_parses");
+  const int64_t hits = CounterValue("rdbms.sql.prepared_cache_hits");
+
+  ASSERT_OK(db_->SimulateCrash());
+  ASSERT_OK(db_->Recover());
+  auto again = db_->Prepare(sql);
+  ASSERT_OK(again.status());
+  EXPECT_EQ(CounterValue("rdbms.sql.hard_parses"), parses + 1);
+  EXPECT_EQ(CounterValue("rdbms.sql.prepared_cache_hits"), hits);
+  auto rows = db_->ExecutePrepared(again.value(), {Value::Int(42)});
+  ASSERT_OK(rows.status());
+  ASSERT_EQ(rows.value().rows.size(), 1u);
+  EXPECT_EQ(rows.value().rows[0][0].int_value(), 42 % 97);
+}
+
 // With peeking on, Prepare's un-peeked plan (bucket -1) and the peeked
 // variants live side by side under one statement text, each a separate
 // plan that hits on its own.

@@ -256,6 +256,67 @@ TEST_F(SqlTest, DeleteAndUpdate) {
   EXPECT_NEAR(r.rows[0][0].AsDouble(), 130.5, 1e-9);
 }
 
+// A heap record removed behind a live index entry means index and heap
+// disagree. DML through the index assist reports it, as an index-driven
+// SELECT does, instead of skipping the entry and touching 0 rows.
+TEST_F(SqlTest, HeapMissBehindIndexEntryIsAnError) {
+  auto table = db_->catalog()->GetTable("emp");
+  ASSERT_OK(table.status());
+  TableInfo* emp = table.value();
+  Rid ada_rid;
+  {
+    std::unique_ptr<RecordIterator> it = emp->storage->NewIterator();
+    Rid rid;
+    std::string rec;
+    Row row;
+    while (true) {
+      auto more = it->Next(&rid, &rec);
+      ASSERT_OK(more.status());
+      ASSERT_TRUE(more.value()) << "ada (id 10) not found";
+      ASSERT_OK(DeserializeRow(emp->schema, rec, &row));
+      if (row[0].AsInt() == 10) break;
+    }
+    ada_rid = rid;
+  }
+  ASSERT_OK(emp->storage->Delete(ada_rid));  // the index entries stay
+
+  int64_t affected = 0;
+  EXPECT_FALSE(
+      db_->Execute("DELETE FROM emp WHERE id = 10", {}, nullptr, &affected)
+          .ok());
+  EXPECT_FALSE(db_->Execute("UPDATE emp SET salary = 1 WHERE dept_id = 1", {},
+                            nullptr, &affected)
+                   .ok());
+  EXPECT_EQ(affected, 0);
+  EXPECT_FALSE(db_->Query("SELECT name FROM emp WHERE id = 10").ok());
+  // Entries whose rows are intact still work.
+  ASSERT_OK(
+      db_->Execute("DELETE FROM emp WHERE id = 12", {}, nullptr, &affected));
+  EXPECT_EQ(affected, 1);
+}
+
+// A NULL index bound matches no key: `col = NULL` and `col < NULL` are
+// never true, whether the predicate runs as a filter or as index bounds.
+TEST_F(SqlTest, NullIndexBoundMatchesNothing) {
+  for (const char* sql : {"SELECT id FROM emp WHERE dept_id = ?",
+                          "SELECT id FROM emp WHERE id < ?"}) {
+    auto plan = db_->Explain(sql);
+    ASSERT_OK(plan.status());
+    EXPECT_NE(plan.value().find("IndexScan"), std::string::npos)
+        << plan.value();
+    auto stmt = db_->Prepare(sql);
+    ASSERT_OK(stmt.status());
+    auto res = db_->ExecutePrepared(stmt.value(), {Value::Null()});
+    ASSERT_OK(res.status());
+    EXPECT_EQ(res.value().rows.size(), 0u) << sql;
+  }
+  int64_t affected = 0;
+  ASSERT_OK(db_->Execute("DELETE FROM emp WHERE dept_id = ?", {Value::Null()},
+                         nullptr, &affected));
+  EXPECT_EQ(affected, 0);
+  EXPECT_EQ(Q("SELECT id FROM emp").rows.size(), 5u);
+}
+
 TEST_F(SqlTest, UniqueConstraint) {
   Status st = db_->Execute("INSERT INTO dept VALUES (1, 'dup')");
   EXPECT_EQ(st.code(), StatusCode::kConstraintViolation) << st.ToString();

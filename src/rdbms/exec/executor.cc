@@ -121,17 +121,29 @@ std::string ValuesKey(const std::vector<Value>& values) {
 
 namespace {
 
-/// Collects the table-local column ids a predicate reads (wide-row refs
-/// rebased by `offset`, clipped to the table's width). Correlated outer
+/// Table-local column id of row position `pos` for a table whose needed
+/// columns (all `ncols` without a projection) start at `offset`, or -1 when
+/// `pos` lies outside the table's positions.
+int64_t LocalColumn(size_t pos, size_t offset,
+                    const std::optional<std::vector<size_t>>& needed,
+                    size_t ncols) {
+  const size_t width = needed.has_value() ? needed->size() : ncols;
+  if (pos < offset || pos >= offset + width) return -1;
+  const size_t k = pos - offset;
+  return static_cast<int64_t>(needed.has_value() ? (*needed)[k] : k);
+}
+
+/// Collects the table-local column ids a predicate reads. Correlated outer
 /// refs and subquery internals are charged-for conservatively elsewhere.
-void CollectLocalCols(const Expr& e, size_t offset, size_t ncols,
-                      std::vector<size_t>* out) {
-  if (e.kind == ExprKind::kColumnRef && e.column_index >= offset &&
-      e.column_index < offset + ncols) {
-    out->push_back(e.column_index - offset);
+void CollectLocalCols(const Expr& e, size_t offset,
+                      const std::optional<std::vector<size_t>>& needed,
+                      size_t ncols, std::vector<size_t>* out) {
+  if (e.kind == ExprKind::kColumnRef) {
+    const int64_t c = LocalColumn(e.column_index, offset, needed, ncols);
+    if (c >= 0) out->push_back(static_cast<size_t>(c));
   }
   for (const ExprPtr& c : e.children) {
-    if (c != nullptr) CollectLocalCols(*c, offset, ncols, out);
+    if (c != nullptr) CollectLocalCols(*c, offset, needed, ncols, out);
   }
 }
 
@@ -173,7 +185,7 @@ Status SeqScanOp::BuildScanSpec(ExecContext* ctx, ScanSpec* spec) const {
   const size_t ncols = table_->schema.NumColumns();
   EvalContext ec = ctx->MakeEvalContext(nullptr);
   for (const Expr* f : filters_) {
-    CollectLocalCols(*f, offset_, ncols, &spec->filter_cols);
+    CollectLocalCols(*f, offset_, needed_cols_, ncols, &spec->filter_cols);
     if (f->kind != ExprKind::kCompare || f->cmp_op != CmpOp::kEq ||
         f->children.size() != 2) {
       continue;
@@ -181,11 +193,12 @@ Status SeqScanOp::BuildScanSpec(ExecContext* ctx, ScanSpec* spec) const {
     for (int side = 0; side < 2; ++side) {
       const Expr& col = *f->children[side];
       const Expr& konst = *f->children[1 - side];
-      if (col.kind != ExprKind::kColumnRef || col.column_index < offset_ ||
-          col.column_index >= offset_ + ncols) {
-        continue;
-      }
-      size_t local = col.column_index - offset_;
+      const int64_t c =
+          col.kind == ExprKind::kColumnRef
+              ? LocalColumn(col.column_index, offset_, needed_cols_, ncols)
+              : -1;
+      if (c < 0) continue;
+      const size_t local = static_cast<size_t>(c);
       if (table_->schema.column(local).type != DataType::kString) continue;
       if (ExprHasColumnRefs(konst) || ExprContains(konst, IsSubqueryNode)) {
         continue;
@@ -347,7 +360,8 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     if (!ok) return false;
     R3_RETURN_IF_ERROR(
         EvalPredicatesBatch(predicates_, &ec, child_batch_, 0, &sel_));
-    for (uint32_t idx : sel_) out->PushRow(std::move(child_batch_.row(idx)));
+    // Swap, not move: the child's slot keeps storage for its next fill.
+    for (uint32_t idx : sel_) out->AppendRow().swap(child_batch_.row(idx));
   }
   return true;
 }
@@ -457,7 +471,7 @@ Result<bool> DistinctOp::NextBatchImpl(RowBatch* out) {
       // Encode into a reused scratch buffer; the set only copies on insert.
       key_scratch_.clear();
       for (const Value& v : row) key_codec::EncodeValue(v, &key_scratch_);
-      if (seen_.insert(key_scratch_).second) out->PushRow(std::move(row));
+      if (seen_.insert(key_scratch_).second) out->AppendRow().swap(row);
     }
   }
   return true;

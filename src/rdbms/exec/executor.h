@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "rdbms/catalog.h"
+#include "rdbms/exec/join_table.h"
 #include "rdbms/exec/key_range.h"
 #include "rdbms/expr/eval.h"
 #include "rdbms/expr/expr.h"
@@ -95,9 +95,12 @@ struct OperatorStats {
 };
 
 /// Batch-at-a-time (vectorized Volcano) operator. All rows exchanged
-/// between operators of one query are "wide rows": the concatenation of
-/// every base table's columns (see plan/logical_plan.h), except downstream
-/// of aggregation/projection where the layouts documented there apply.
+/// between operators of one query level share one row layout, except
+/// downstream of aggregation/projection where the layouts documented in
+/// plan/logical_plan.h apply. A level without subqueries uses the
+/// optimizer's compact layout: each table's needed columns, contiguous, in
+/// FROM order. A level with subqueries keeps the binder's "wide row", the
+/// concatenation of every table's columns (DESIGN.md §6).
 ///
 /// NextBatch contract: the wrapper clears `*out`; the operator fills at
 /// most `out->capacity()` rows and returns true iff it produced at least
@@ -177,8 +180,8 @@ size_t CappedReserve(uint64_t est_rows);
 // ---------------------------------------------------------------------------
 
 /// Full scan of `table` through its storage engine's ScanCursor, emitting
-/// wide rows with the table's columns at `offset` and NULL elsewhere;
-/// applies pushed-down filters. Renders as "SeqScan" over the row heap and
+/// rows of `wide_width` values with the table's columns at `offset` and
+/// NULL elsewhere; applies pushed-down filters. Renders as "SeqScan" over the row heap and
 /// "ColumnarScan" over the columnar engine — same operator, different
 /// engine-provided cursor.
 ///
@@ -187,8 +190,9 @@ size_t CappedReserve(uint64_t est_rows);
 /// subqueries cannot pile up pins.
 ///
 /// `needed_cols` (table-local indices, ascending) is the optimizer's
-/// projection set: every engine decodes only those columns and leaves the
-/// table's other positions NULL. Empty optional = all columns.
+/// projection set: every engine decodes only those columns, the k-th at
+/// `offset + k` (DecodeRowInto). Empty optional = all columns, column c at
+/// `offset + c`.
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(const TableInfo* table, size_t offset, size_t wide_width,
@@ -376,28 +380,28 @@ class MaterializeOp : public Operator {
 // Joins (join_ops.cc)
 // ---------------------------------------------------------------------------
 
-/// A contiguous wide-row range one side of a join fills.
+/// The contiguous row range a join's inner side fills: its table's
+/// positions in the level's row layout.
 struct FilledRange {
   size_t offset = 0;
   size_t width = 0;
 };
 
-/// Hash join: builds on `build`, probes with `probe`, merging wide rows.
-/// The hash table keeps only the values of `build_ranges` of each build row,
-/// packed (see PackRanges), and merges them back into a copy of the probe
-/// row. With `preserve_probe` (left-outer semantics where the probe side is
-/// the preserved side), probe rows without a match are emitted with the
-/// build ranges left NULL. `est_build_rows` (0 = unknown) pre-sizes the
-/// hash table from the optimizer's cardinality estimate. When the build
-/// child is a GatherOp, the table is built by its worker pool (partitioned
-/// build).
+/// Hash join: builds on `build`, probes with `probe`, merging rows. The
+/// JoinTable keeps only the `build_range` values of each build row and
+/// copies them back into a copy of the probe row. With `preserve_probe`
+/// (left-outer semantics where the probe side is the preserved side), probe
+/// rows without a match are emitted with the build range left NULL.
+/// `est_build_rows` (0 = unknown) sizes the table's slot array from the
+/// optimizer's cardinality estimate. When the build child is a GatherOp,
+/// the table is built by its worker pool (partitioned build).
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, OperatorPtr probe,
              std::vector<const Expr*> build_keys,
              std::vector<const Expr*> probe_keys,
              std::vector<const Expr*> residual,
-             std::vector<FilledRange> build_ranges, bool preserve_probe,
+             FilledRange build_range, bool preserve_probe,
              uint64_t est_build_rows = 0);
 
   size_t OutputWidth() const override { return probe_->OutputWidth(); }
@@ -414,25 +418,25 @@ class HashJoinOp : public Operator {
   std::vector<const Expr*> build_keys_;
   std::vector<const Expr*> probe_keys_;
   std::vector<const Expr*> residual_;
-  std::vector<FilledRange> build_ranges_;
+  FilledRange build_range_;
   bool preserve_probe_;
   uint64_t est_build_rows_;
 
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<std::string, std::vector<Row>> table_;  ///< packed rows
+  JoinTable table_;
   std::string key_scratch_;
   RowBatch probe_batch_;
   size_t probe_pos_ = 0;
   bool have_probe_ = false;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  uint32_t match_ = JoinTable::kEnd;  ///< next build row to merge
   bool emitted_for_probe_ = false;
   bool probe_done_ = false;
 };
 
 /// Index nested-loops join: for each left row, evaluates the key
 /// expressions and probes `index`, fetching matching heap rows of `table`
-/// into the wide row (only `needed_cols` of them, like SeqScanOp). One
+/// into the row at `table_offset` (only `needed_cols` of them, like
+/// SeqScanOp). One
 /// round of random I/O per probe — the expensive pattern the paper's 2.2
 /// Open SQL reports exhibit server-side.
 class IndexNLJoinOp : public Operator {
@@ -477,7 +481,7 @@ class NestedLoopsJoinOp : public Operator {
  public:
   NestedLoopsJoinOp(OperatorPtr left, OperatorPtr right,
                     std::vector<const Expr*> predicates,
-                    std::vector<FilledRange> right_ranges, bool preserve_left);
+                    FilledRange right_range, bool preserve_left);
 
   size_t OutputWidth() const override { return left_->OutputWidth(); }
   std::string Describe(bool analyze) const override;
@@ -491,7 +495,7 @@ class NestedLoopsJoinOp : public Operator {
   OperatorPtr left_;
   std::unique_ptr<MaterializeOp> right_;
   std::vector<const Expr*> predicates_;
-  std::vector<FilledRange> right_ranges_;
+  FilledRange right_range_;
   bool preserve_left_;
 
   ExecContext* ctx_ = nullptr;
@@ -581,11 +585,6 @@ std::string ValuesKey(const std::vector<Value>& values);
 /// Shared by HashJoinOp and the parallel partitioned join build.
 Status EvalJoinKey(const std::vector<const Expr*>& keys, const EvalContext& ec,
                    std::string* out, bool* null_key);
-
-/// Moves the values of `ranges` out of a wide row into one packed row: the
-/// ranges' values concatenated in order. A hash-join build stores only
-/// these; shared by HashJoinOp and the parallel partitioned join build.
-Row PackRanges(const std::vector<FilledRange>& ranges, Row* wide);
 
 }  // namespace rdbms
 }  // namespace r3

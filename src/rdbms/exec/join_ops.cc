@@ -10,30 +10,14 @@ namespace rdbms {
 
 namespace {
 
-/// Copies a packed build row (see PackRanges) back into its ranges of `dst`.
-void MergePacked(const Row& packed, const std::vector<FilledRange>& ranges,
-                 Row* dst) {
-  size_t k = 0;
-  for (const FilledRange& r : ranges) {
-    for (size_t i = 0; i < r.width; ++i) (*dst)[r.offset + i] = packed[k++];
-  }
+/// Copies `range.width` values from `src` into `range` of `dst`.
+void CopyInto(const Value* src, const FilledRange& range, Row* dst) {
+  std::copy(src, src + range.width, dst->begin() + range.offset);
 }
 
-void MergeRanges(const Row& src, const std::vector<FilledRange>& ranges,
-                 Row* dst) {
-  for (const FilledRange& r : ranges) {
-    for (size_t i = 0; i < r.width; ++i) {
-      (*dst)[r.offset + i] = src[r.offset + i];
-    }
-  }
-}
-
-void NullRanges(const std::vector<FilledRange>& ranges, Row* dst) {
-  for (const FilledRange& r : ranges) {
-    for (size_t i = 0; i < r.width; ++i) {
-      (*dst)[r.offset + i] = Value::Null();
-    }
-  }
+void NullRange(const FilledRange& range, Row* dst) {
+  auto first = dst->begin() + range.offset;
+  std::fill(first, first + range.width, Value::Null());
 }
 
 }  // namespace
@@ -58,19 +42,6 @@ Status EvalJoinKey(const std::vector<const Expr*>& keys, const EvalContext& ec,
   return Status::OK();
 }
 
-Row PackRanges(const std::vector<FilledRange>& ranges, Row* wide) {
-  size_t width = 0;
-  for (const FilledRange& r : ranges) width += r.width;
-  Row packed;
-  packed.reserve(width);
-  for (const FilledRange& r : ranges) {
-    for (size_t i = 0; i < r.width; ++i) {
-      packed.push_back(std::move((*wide)[r.offset + i]));
-    }
-  }
-  return packed;
-}
-
 // ---------------------------------------------------------------------------
 // HashJoinOp
 // ---------------------------------------------------------------------------
@@ -79,37 +50,33 @@ HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
                        std::vector<const Expr*> build_keys,
                        std::vector<const Expr*> probe_keys,
                        std::vector<const Expr*> residual,
-                       std::vector<FilledRange> build_ranges,
-                       bool preserve_probe, uint64_t est_build_rows)
+                       FilledRange build_range, bool preserve_probe,
+                       uint64_t est_build_rows)
     : build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)),
       residual_(std::move(residual)),
-      build_ranges_(std::move(build_ranges)),
+      build_range_(build_range),
       preserve_probe_(preserve_probe),
       est_build_rows_(est_build_rows) {}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
-  table_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
+  table_.Reset(build_range_.width, est_build_rows_);
+  match_ = JoinTable::kEnd;
   probe_done_ = false;
   have_probe_ = false;
   emitted_for_probe_ = false;
   probe_batch_.Clear();
   probe_pos_ = 0;
 
-  if (est_build_rows_ > 0) {
-    table_.reserve(CappedReserve(est_build_rows_));
-  }
   // A Gather build child runs the scan + key evaluation on its worker pool
   // (partitioned build); the serial path drains the child batch by batch
   // (probe_batch_ doubles as the drain scratch until probing starts).
   if (auto* gather = dynamic_cast<GatherOp*>(build_.get())) {
-    R3_RETURN_IF_ERROR(gather->BuildJoinTable(ctx, build_keys_, build_ranges_,
-                                              &table_, est_build_rows_));
+    R3_RETURN_IF_ERROR(
+        gather->BuildJoinTable(ctx, build_keys_, build_range_, &table_));
     return probe_->Open(ctx);
   }
   R3_RETURN_IF_ERROR(build_->Open(ctx));
@@ -125,8 +92,8 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       R3_RETURN_IF_ERROR(
           EvalJoinKey(build_keys_, ec, &key_scratch_, &null_key));
       if (null_key) continue;
-      table_[key_scratch_].push_back(
-          PackRanges(build_ranges_, &probe_batch_.row(i)));
+      table_.Insert(key_scratch_,
+                    probe_batch_.row(i).data() + build_range_.offset);
     }
   }
   R3_RETURN_IF_ERROR(build_->Close());
@@ -152,33 +119,24 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
       bool null_key = false;
       R3_RETURN_IF_ERROR(
           EvalJoinKey(probe_keys_, ec, &key_scratch_, &null_key));
-      if (null_key) {
-        matches_ = nullptr;
-      } else {
-        auto it = table_.find(key_scratch_);
-        matches_ = it == table_.end() ? nullptr : &it->second;
-      }
-      match_pos_ = 0;
+      match_ = null_key ? JoinTable::kEnd : table_.Find(key_scratch_);
       emitted_for_probe_ = false;
       have_probe_ = true;
     }
     const Row& probe_row = probe_batch_.row(probe_pos_);
-    if (matches_ != nullptr) {
-      // matches_ stays valid across suspensions: unordered_map values are
-      // node-stable and the table is immutable during probing.
-      while (match_pos_ < matches_->size()) {
-        if (out->full()) return true;
-        Row& candidate = out->AppendRow();
-        candidate = probe_row;
-        MergePacked((*matches_)[match_pos_], build_ranges_, &candidate);
-        ++match_pos_;
-        ec.row = &candidate;
-        R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
-        if (pass) {
-          emitted_for_probe_ = true;
-        } else {
-          out->PopRow();
-        }
+    // match_ survives suspensions: the table is immutable while probing.
+    while (match_ != JoinTable::kEnd) {
+      if (out->full()) return true;
+      Row& candidate = out->AppendRow();
+      candidate = probe_row;
+      CopyInto(table_.RowValues(match_), build_range_, &candidate);
+      match_ = table_.Next(match_);
+      ec.row = &candidate;
+      R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, ec));
+      if (pass) {
+        emitted_for_probe_ = true;
+      } else {
+        out->PopRow();
       }
     }
     // This probe row has no (further) matches.
@@ -186,7 +144,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
       if (out->full()) return true;
       Row& preserved = out->AppendRow();
       preserved = probe_row;
-      NullRanges(build_ranges_, &preserved);
+      NullRange(build_range_, &preserved);
       emitted_for_probe_ = true;
     }
     have_probe_ = false;
@@ -196,7 +154,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
 }
 
 Status HashJoinOp::CloseImpl() {
-  table_.clear();
+  table_.Release();
   return probe_->Close();
 }
 
@@ -287,7 +245,7 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
     // Left row exhausted its matches.
     if (preserve_left_ && !emitted_for_left_) {
       if (out->full()) return true;
-      out->AppendRow() = left_row;  // inner columns already NULL in wide row
+      out->AppendRow() = left_row;  // inner columns already NULL in the row
       emitted_for_left_ = true;
     }
     have_left_ = false;
@@ -316,13 +274,13 @@ std::string IndexNLJoinOp::Describe(bool analyze) const {
 
 NestedLoopsJoinOp::NestedLoopsJoinOp(OperatorPtr left, OperatorPtr right,
                                      std::vector<const Expr*> predicates,
-                                     std::vector<FilledRange> right_ranges,
+                                     FilledRange right_range,
                                      bool preserve_left)
     : left_(std::move(left)),
       right_(std::make_unique<MaterializeOp>(std::move(right),
                                              /*cacheable=*/false)),
       predicates_(std::move(predicates)),
-      right_ranges_(std::move(right_ranges)),
+      right_range_(right_range),
       preserve_left_(preserve_left) {}
 
 Status NestedLoopsJoinOp::OpenImpl(ExecContext* ctx) {
@@ -361,7 +319,8 @@ Result<bool> NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
       ctx_->clock->ChargeDbmsTuple();
       Row& candidate = out->AppendRow();
       candidate = left_row;
-      MergeRanges(inner[right_pos_], right_ranges_, &candidate);
+      CopyInto(inner[right_pos_].data() + right_range_.offset, right_range_,
+               &candidate);
       ++right_pos_;
       ec.row = &candidate;
       R3_ASSIGN_OR_RETURN(bool pass, EvalPredicates(predicates_, ec));
@@ -376,7 +335,7 @@ Result<bool> NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
       if (out->full()) return true;
       Row& preserved = out->AppendRow();
       preserved = left_row;
-      NullRanges(right_ranges_, &preserved);
+      NullRange(right_range_, &preserved);
       emitted_for_left_ = true;
     }
     have_left_ = false;

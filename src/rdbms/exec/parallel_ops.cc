@@ -1,6 +1,7 @@
 #include "rdbms/exec/parallel_ops.h"
 
 #include <algorithm>
+#include <iterator>
 #include <thread>
 
 #include "common/str_util.h"
@@ -224,45 +225,56 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status GatherOp::BuildJoinTable(
-    ExecContext* ctx, const std::vector<const Expr*>& keys,
-    const std::vector<FilledRange>& ranges,
-    std::unordered_map<std::string, std::vector<Row>>* table,
-    uint64_t est_build_rows) {
+Status GatherOp::BuildJoinTable(ExecContext* ctx,
+                                const std::vector<const Expr*>& keys,
+                                const FilledRange& range, JoinTable* table) {
   // Lanes do the scan, key evaluation and packing; each morsel collects its
-  // (key, packed row) pairs privately, and the barrier inserts them in
-  // morsel order — the exact order the serial build would have used.
-  std::vector<std::vector<std::pair<std::string, Row>>> pairs;
+  // keys and packed rows privately, and the barrier inserts them in morsel
+  // order — the exact order the serial build would have used.
+  struct MorselBuild {
+    std::string keys;               ///< encoded keys, concatenated
+    std::vector<size_t> key_ends;   ///< end of each row's key in `keys`
+    std::vector<Value> rows;        ///< packed rows, range.width each
+  };
+  std::vector<MorselBuild> builds;
   std::vector<std::string> key_scratch(static_cast<size_t>(dop_));
 
   // Pre-size the per-morsel slots before the workers start (RunParallel
   // recomputes the same page partition deterministically).
   {
     R3_ASSIGN_OR_RETURN(uint32_t num_pages, table_->storage->NumPages());
-    size_t n = (num_pages + kMorselPages - 1) / kMorselPages;
-    pairs.assign(n, {});
+    builds.resize((num_pages + kMorselPages - 1) / kMorselPages);
   }
   Status st = RunParallel(
       ctx, [&](size_t morsel, size_t lane, RowBatch* batch) -> Status {
         EvalContext ec = ctx->MakeEvalContext(nullptr);
         std::string& key = key_scratch[lane];
+        MorselBuild& b = builds[morsel];
         for (size_t r = 0; r < batch->size(); ++r) {
           ctx->clock->ChargeDbmsTuple();  // build CPU, charged in-lane
           ec.row = &batch->row(r);
           bool null_key = false;
           R3_RETURN_IF_ERROR(EvalJoinKey(keys, ec, &key, &null_key));
           if (null_key) continue;
-          pairs[morsel].emplace_back(key, PackRanges(ranges, &batch->row(r)));
+          b.keys += key;
+          b.key_ends.push_back(b.keys.size());
+          auto first = batch->row(r).begin() + range.offset;
+          b.rows.insert(b.rows.end(), std::make_move_iterator(first),
+                        std::make_move_iterator(first + range.width));
         }
         return Status::OK();
       });
   R3_RETURN_IF_ERROR(st);
 
-  if (est_build_rows > 0) table->reserve(CappedReserve(est_build_rows));
-  for (auto& morsel_pairs : pairs) {
-    for (auto& [key, row] : morsel_pairs) {
-      (*table)[key].push_back(std::move(row));
+  for (MorselBuild& b : builds) {
+    size_t key_begin = 0;
+    for (size_t i = 0; i < b.key_ends.size(); ++i) {
+      table->Insert(std::string_view(b.keys).substr(
+                        key_begin, b.key_ends[i] - key_begin),
+                    b.rows.data() + i * range.width);
+      key_begin = b.key_ends[i];
     }
+    b = MorselBuild();  // free each morsel's buffers as soon as it is in
   }
   return Status::OK();
 }

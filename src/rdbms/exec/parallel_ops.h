@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -47,9 +46,9 @@ inline constexpr uint32_t kMorselPages = 16;
 ///    order). DISTINCT aggregates are not mergeable and stay serial.
 ///
 /// A HashJoinOp whose build child is a GatherOp instead calls
-/// BuildJoinTable(): lanes evaluate build keys in parallel and the barrier
-/// inserts (key, packed row) pairs in morsel order — the serial insertion
-/// order.
+/// BuildJoinTable(): lanes evaluate build keys and pack rows in parallel and
+/// the barrier inserts them into the JoinTable in morsel order — the serial
+/// insertion order.
 ///
 /// Like SeqScanOp, the lanes decode only `needed_cols` (table-local,
 /// ascending; empty optional = all columns) of each record.
@@ -78,13 +77,12 @@ class GatherOp : public Operator {
   int dop() const { return dop_; }
 
   /// Partitioned hash-join build (called by HashJoinOp instead of Open).
-  /// Scans in parallel, evaluates `keys` and packs `ranges` (PackRanges) per
-  /// surviving row in the worker lanes, and fills `*table` in morsel order.
-  /// Rows with NULL keys are dropped (SQL equi-join semantics).
+  /// Scans in parallel, evaluates `keys` and packs the `range` values of
+  /// each surviving row in the worker lanes, and fills `*table` (already
+  /// Reset to `range.width`) in morsel order. Rows with NULL keys are
+  /// dropped (SQL equi-join semantics).
   Status BuildJoinTable(ExecContext* ctx, const std::vector<const Expr*>& keys,
-                        const std::vector<FilledRange>& ranges,
-                        std::unordered_map<std::string, std::vector<Row>>* table,
-                        uint64_t est_build_rows);
+                        const FilledRange& range, JoinTable* table);
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;

@@ -73,6 +73,7 @@ ExprPtr Expr::Clone() const {
   out->table_qualifier = table_qualifier;
   out->column_name = column_name;
   out->column_index = column_index;
+  out->binder_index = binder_index;
   out->param_index = param_index;
   out->slot = slot;
   out->arith_op = arith_op;
@@ -102,7 +103,11 @@ std::string Expr::ToString() const {
     case ExprKind::kColumnRef:
       // Bound refs print canonically by position so structurally equal
       // expressions stringify identically (the binder relies on this for
-      // GROUP BY / ORDER BY matching).
+      // GROUP BY / ORDER BY matching), at the binder's position even after
+      // the optimizer compacts the row.
+      if (binder_index != kUnresolvedColumn) {
+        return str::Format("col#%zu", binder_index);
+      }
       if (column_index != kUnresolvedColumn) {
         return str::Format("col#%zu", column_index);
       }

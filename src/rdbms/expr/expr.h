@@ -73,6 +73,10 @@ struct Expr {
   std::string table_qualifier;  ///< kColumnRef (optional)
   std::string column_name;      ///< kColumnRef
   size_t column_index = kUnresolvedColumn;  ///< kColumnRef/kOuterRef/kSlotRef
+  /// kColumnRef whose `column_index` the optimizer moved to a compact row
+  /// position: the binder's wide-row position, which ToString keeps
+  /// rendering so plan text does not depend on the row layout.
+  size_t binder_index = kUnresolvedColumn;
 
   size_t param_index = 0;  ///< kParam
   size_t slot = 0;         ///< kAggRef

@@ -8,11 +8,14 @@ namespace key_codec {
 
 namespace {
 
-void AppendBigEndianFlipped(uint64_t v, std::string* out) {
-  v ^= 0x8000000000000000ULL;  // flip sign bit: negatives sort first
-  for (int i = 7; i >= 0; --i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Appends the present tag and `v` big-endian: one 9-byte append.
+void AppendTaggedBigEndian(uint64_t v, std::string* out) {
+  char buf[9];
+  buf[0] = '\x01';
+  for (int i = 0; i < 8; ++i) {
+    buf[1 + i] = static_cast<char>((v >> (56 - 8 * i)) & 0xff);
   }
+  out->append(buf, sizeof(buf));
 }
 
 }  // namespace
@@ -22,46 +25,47 @@ void EncodeValue(const Value& v, std::string* out) {
     out->push_back('\x00');
     return;
   }
-  out->push_back('\x01');
+  constexpr uint64_t kSign = 0x8000000000000000ULL;
   switch (v.type()) {
     case DataType::kBool:
-      out->push_back(v.bool_value() ? '\x01' : '\x00');
+      out->append(v.bool_value() ? "\x01\x01" : "\x01\x00", 2);
       break;
+    // Integers: flip the sign bit so negatives sort first.
     case DataType::kInt64:
-      AppendBigEndianFlipped(static_cast<uint64_t>(v.int_value()), out);
+      AppendTaggedBigEndian(static_cast<uint64_t>(v.int_value()) ^ kSign, out);
       break;
     case DataType::kDecimal:
-      AppendBigEndianFlipped(static_cast<uint64_t>(v.decimal_cents()), out);
+      AppendTaggedBigEndian(static_cast<uint64_t>(v.decimal_cents()) ^ kSign,
+                            out);
       break;
     case DataType::kDate:
-      AppendBigEndianFlipped(
-          static_cast<uint64_t>(static_cast<int64_t>(v.date_value())), out);
+      AppendTaggedBigEndian(
+          static_cast<uint64_t>(static_cast<int64_t>(v.date_value())) ^ kSign,
+          out);
       break;
     case DataType::kDouble: {
       double d = v.double_value();
       uint64_t bits;
       std::memcpy(&bits, &d, 8);
-      if (bits & 0x8000000000000000ULL) {
-        bits = ~bits;  // negative: invert all so more-negative sorts first
-      } else {
-        bits ^= 0x8000000000000000ULL;  // positive: set sign bit
-      }
-      for (int i = 7; i >= 0; --i) {
-        out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-      }
+      // Negative: invert all so more-negative sorts first; positive: set
+      // the sign bit.
+      AppendTaggedBigEndian((bits & kSign) ? ~bits : bits ^ kSign, out);
       break;
     }
     case DataType::kString: {
-      for (char c : v.string_value()) {
-        if (c == '\x00') {
-          out->push_back('\x00');
-          out->push_back('\xff');
-        } else {
-          out->push_back(c);
-        }
+      // Copy the runs between NULs whole; each NUL becomes 0x00 0xFF.
+      const std::string& str = v.string_value();
+      out->push_back('\x01');
+      const char* p = str.data();
+      const char* end = p + str.size();
+      while (const void* nul = std::memchr(p, 0, static_cast<size_t>(end - p))) {
+        const char* at = static_cast<const char*>(nul);
+        out->append(p, static_cast<size_t>(at - p));
+        out->append("\x00\xff", 2);
+        p = at + 1;
       }
-      out->push_back('\x00');
-      out->push_back('\x00');
+      out->append(p, static_cast<size_t>(end - p));
+      out->append("\x00\x00", 2);
       break;
     }
   }

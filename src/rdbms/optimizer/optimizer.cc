@@ -33,9 +33,10 @@ struct EstimationContext {
 // ---------------------------------------------------------------------------
 
 /// Applies `fn` to every expression tree of a bound query (not descending
-/// into its subqueries' own trees).
-void ForEachExprOfQuery(const BoundQuery& bq,
-                        const std::function<void(const Expr&)>& fn) {
+/// into its subqueries' own trees). `fn` takes `const Expr&` to read or
+/// `Expr&` to rewrite (the optimizer's compact-row remap).
+template <typename Fn>
+void ForEachExprOfQuery(const BoundQuery& bq, Fn&& fn) {
   auto walk = [&](const ExprPtr& e) {
     if (e != nullptr) fn(*e);
   };
@@ -604,24 +605,54 @@ AccessPath ChooseAccessPath(const BoundTableRef& t,
   return best;
 }
 
-/// The wide-row ranges a join's inner side fills for table `t`: the runs of
-/// its projected columns, or its whole column range without a projection.
-std::vector<FilledRange> RangesFor(
-    const BoundQuery& bq, size_t t,
-    const std::optional<std::vector<size_t>>& needed) {
-  const size_t offset = bq.tables[t].offset;
-  if (!needed.has_value()) {
-    return {FilledRange{offset, bq.tables[t].table->schema.NumColumns()}};
-  }
-  std::vector<FilledRange> out;
-  for (size_t c : *needed) {
-    if (!out.empty() && out.back().offset + out.back().width == offset + c) {
-      ++out.back().width;
-    } else {
-      out.push_back(FilledRange{offset + c, 1});
-    }
+/// The row layout of one query level: where each table's columns sit in
+/// the rows its operators exchange.
+struct RowLayout {
+  std::vector<FilledRange> tables;  ///< per table, its contiguous positions
+  size_t width = 0;
+};
+
+/// A level without subqueries packs each table's needed columns
+/// contiguously in FROM order: table t's k-th needed column sits at
+/// `tables[t].offset + k`. A level with subqueries (no `needed` sets) keeps
+/// the binder's full-width layout, which its subqueries' outer refs
+/// address.
+RowLayout LayoutFor(const BoundQuery& bq,
+                    const std::vector<std::optional<std::vector<size_t>>>&
+                        needed) {
+  RowLayout out;
+  for (size_t t = 0; t < bq.tables.size(); ++t) {
+    const std::optional<std::vector<size_t>>& cols = needed[t];
+    const size_t offset = cols.has_value() ? out.width : bq.tables[t].offset;
+    const size_t width = cols.has_value()
+                             ? cols->size()
+                             : bq.tables[t].table->schema.NumColumns();
+    out.tables.push_back(FilledRange{offset, width});
+    out.width = offset + width;
   }
   return out;
+}
+
+/// Moves every column reference of a compact level from its binder
+/// position to its compact position, once, after every plan decision that
+/// reads binder positions. `binder_index` keeps the old position for
+/// EXPLAIN.
+void RemapToLayout(const BoundQuery& bq,
+                   const std::vector<std::optional<std::vector<size_t>>>&
+                       needed,
+                   const RowLayout& layout) {
+  auto remap = [&](Expr* e) {
+    if (e->kind != ExprKind::kColumnRef) return;
+    const size_t t = TableOfPosition(bq, e->column_index);
+    const std::vector<size_t>& cols = *needed[t];
+    const size_t k = static_cast<size_t>(
+        std::lower_bound(cols.begin(), cols.end(),
+                         e->column_index - bq.tables[t].offset) -
+        cols.begin());
+    e->binder_index = e->column_index;
+    e->column_index = layout.tables[t].offset + k;
+  };
+  ForEachExprOfQuery(bq, [&](Expr& root) { VisitExpr(&root, remap); });
 }
 
 }  // namespace
@@ -863,11 +894,11 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
   };
 
   // Projection sets: per table, the local columns any expression of this
-  // query level reads (ascending). Every scan decodes only these and leaves
-  // the table's other wide-row positions NULL. A level with subqueries
-  // decodes every column: a deeply nested correlation could reference a
-  // position no top-level walk sees, and the columnar engine charges per
-  // decoded column, so its simulated times depend on this set.
+  // query level reads (ascending). Every scan decodes only these, into the
+  // level's compact row layout. A level with subqueries decodes every
+  // column into the full-width layout: a deeply nested correlation could
+  // reference a position no top-level walk sees, and the columnar engine
+  // charges per decoded column, so its simulated times depend on this set.
   std::vector<std::optional<std::vector<size_t>>> needed(bq->tables.size());
   if (bq->subqueries.empty()) {
     std::set<size_t> positions;
@@ -882,6 +913,7 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
       }
     }
   }
+  const RowLayout layout = LayoutFor(*bq, needed);
 
   auto make_scan = [&](size_t t) -> OperatorPtr {
     const TableCandidate& cand = cands[t];
@@ -894,23 +926,24 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
     for (const Expr* s : cand.singles) {
       if (cand.path.consumed.count(s) == 0) residual.push_back(s);
     }
+    const size_t offset = layout.tables[t].offset;
     if (cand.path.index != nullptr) {
       auto op = std::make_unique<IndexScanOp>(ref.table, cand.path.index,
-                                              ref.offset, bq->wide_width,
+                                              offset, layout.width,
                                               cand.path.bounds, residual,
                                               needed[t]);
       op->set_est_rows(scan_est);
       return op;
     }
     if (parallel_eligible(t)) {
-      auto op = std::make_unique<GatherOp>(ref.table, ref.offset,
-                                           bq->wide_width, residual,
-                                           needed[t], options_.dop, scan_est);
+      auto op = std::make_unique<GatherOp>(ref.table, offset, layout.width,
+                                           residual, needed[t], options_.dop,
+                                           scan_est);
       op->set_est_rows(scan_est);
       return op;
     }
-    auto op = std::make_unique<SeqScanOp>(ref.table, ref.offset,
-                                          bq->wide_width, residual, needed[t]);
+    auto op = std::make_unique<SeqScanOp>(ref.table, offset, layout.width,
+                                          residual, needed[t]);
     op->set_est_rows(scan_est);
     return op;
   };
@@ -1211,9 +1244,9 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
             }
           }
         }
-        tree = std::make_unique<IndexNLJoinOp>(std::move(tree), ref.table, idx,
-                                               ref.offset, probe_exprs,
-                                               inl_residual, outer, needed[t]);
+        tree = std::make_unique<IndexNLJoinOp>(
+            std::move(tree), ref.table, idx, layout.tables[t].offset,
+            probe_exprs, inl_residual, outer, needed[t]);
         built = true;
         break;
       }
@@ -1222,14 +1255,13 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
       // Hash join; t is the build side (its scan applies pushed filters).
       tree = std::make_unique<HashJoinOp>(
           make_scan(t), std::move(tree), t_keys, s_keys, residual,
-          RangesFor(*bq, t, needed[t]), outer,
+          layout.tables[t], outer,
           static_cast<uint64_t>(std::max(0.0, cands[t].path.est_rows)));
       built = true;
     }
     if (!built) {
       tree = std::make_unique<NestedLoopsJoinOp>(
-          std::move(tree), make_scan(t), residual,
-          RangesFor(*bq, t, needed[t]), outer);
+          std::move(tree), make_scan(t), residual, layout.tables[t], outer);
     }
     // Estimated join output rows, for EXPLAIN ANALYZE drift reporting.
     tree->set_est_rows(static_cast<uint64_t>(std::max(1.0, best_result)));
@@ -1265,7 +1297,7 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
       filters.insert(filters.end(), zero_table.begin(), zero_table.end());
       filters.insert(filters.end(), leftover.begin(), leftover.end());
       tree = std::make_unique<GatherOp>(
-          bq->tables[0].table, bq->tables[0].offset, bq->wide_width,
+          bq->tables[0].table, layout.tables[0].offset, layout.width,
           std::move(filters), needed[0], options_.dop,
           static_cast<uint64_t>(std::max(0.0, cands[0].path.est_rows)),
           groups, aggs);
@@ -1309,6 +1341,8 @@ Result<Optimizer::PlanResult> Optimizer::PlanQueryTree(BoundQuery* bq) {
   if (bq->limit >= 0) {
     tree = std::make_unique<LimitOp>(std::move(tree), bq->limit);
   }
+
+  if (bq->subqueries.empty()) RemapToLayout(*bq, needed, layout);
 
   PlanResult out;
   out.root = std::move(tree);

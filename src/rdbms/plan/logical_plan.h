@@ -49,7 +49,9 @@ struct BoundOrderKey {
 /// Layouts:
 ///  * "wide row": concat of all tables' columns (width `wide_width`);
 ///    `conjuncts`, `group_by`, aggregate arguments, and (when there is no
-///    aggregation) `select_exprs` are bound to it.
+///    aggregation) `select_exprs` are bound to it. For a level without
+///    subqueries the optimizer then remaps these references to its compact
+///    row (DESIGN.md §6).
 ///  * "aggregate row": [group values..., aggregate results...]; with
 ///    aggregation, `select_exprs` and `having` are bound to it (kSlotRef /
 ///    kAggRef nodes).

@@ -95,16 +95,18 @@ Status DeserializeRow(const Schema& schema, std::string_view data, Row* row) {
 
 Status DecodeRowInto(const Schema& schema, std::string_view data,
                      const std::optional<std::vector<size_t>>& cols,
-                     size_t offset, Row* wide) {
+                     size_t offset, Row* row) {
   size_t pos = 0;
   size_t next_col = 0;  // index into *cols of the next column to decode
   auto need = [&](size_t n) -> bool { return pos + n <= data.size(); };
   for (size_t i = 0; i < schema.NumColumns(); ++i) {
     const Column& col = schema.column(i);
-    const bool want = !cols.has_value() ||
-                      (next_col < cols->size() && (*cols)[next_col] == i);
-    if (want && cols.has_value()) ++next_col;
-    Value* out = want ? &(*wide)[offset + i] : nullptr;
+    Value* out = nullptr;
+    if (!cols.has_value()) {
+      out = &(*row)[offset + i];
+    } else if (next_col < cols->size() && (*cols)[next_col] == i) {
+      out = &(*row)[offset + next_col++];
+    }
     if (!need(1)) return Status::Internal("row truncated (null byte)");
     bool is_null = data[pos++] != 0;
     if (is_null) {

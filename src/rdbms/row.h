@@ -28,17 +28,18 @@ Status SerializeRow(const Schema& schema, const Row& row, std::string* out);
 /// Parses a serialized row. `data` must be exactly one row.
 Status DeserializeRow(const Schema& schema, std::string_view data, Row* row);
 
-/// Decodes one serialized record into a wide row: record column `c` lands
-/// at `(*wide)[offset + c]` for every `c` in `cols` (table-local ids,
-/// ascending), or for every column when `cols` is empty. Every other position
-/// of `*wide` is left as it is, and `*wide` must already hold
-/// `offset + NumColumns()` values. Every column's bytes are still walked and
-/// bounds-checked, so a truncated record or trailing bytes fail exactly as
-/// in DeserializeRow; a column outside `cols` costs no Value construction,
-/// allocation or trim.
+/// Decodes one serialized record into a row: the k-th column of `cols`
+/// (table-local ids, ascending) lands at `(*row)[offset + k]`, and without
+/// `cols` record column `c` lands at `(*row)[offset + c]`. So a projected
+/// table occupies `cols->size()` contiguous positions, the optimizer's
+/// compact row layout (DESIGN.md §6). Every other position of `*row` is left
+/// as it is, and `*row` must already hold the written positions. Every
+/// column's bytes are still walked and bounds-checked, so a truncated record
+/// or trailing bytes fail exactly as in DeserializeRow; a column outside
+/// `cols` costs no Value construction, allocation or trim.
 Status DecodeRowInto(const Schema& schema, std::string_view data,
                      const std::optional<std::vector<size_t>>& cols,
-                     size_t offset, Row* wide);
+                     size_t offset, Row* row);
 
 /// Serialized size without building the string.
 size_t SerializedRowSize(const Schema& schema, const Row& row);

@@ -225,12 +225,13 @@ class ColumnarScanCursor : public ScanCursor {
     return Status::OK();
   }
 
-  /// Materializes the needed columns of slot `idx` from the segments.
+  /// Materializes the needed columns of slot `idx` from the segments, the
+  /// k-th at `offset_ + k` (DecodeRowInto's placement rule).
   void StageSegmentRow(size_t idx) {
     Row& wide = staged_.emplace_back();
     wide.assign(wide_width_, Value::Null());
-    for (size_t c : mat_cols_) {
-      wide[offset_ + c] = engine_->ValueAt(c, idx);
+    for (size_t k = 0; k < mat_cols_.size(); ++k) {
+      wide[offset_ + k] = engine_->ValueAt(mat_cols_[k], idx);
     }
   }
 

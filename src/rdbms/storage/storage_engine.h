@@ -48,16 +48,17 @@ struct StorageCosts {
 };
 
 /// Constructor bundle for a table scan cursor: the execution-time context a
-/// storage engine needs to produce visible wide rows. `offset`/`wide_width`
-/// describe where the table's columns land in the operator's wide row.
+/// storage engine needs to produce visible rows. `offset`/`wide_width`
+/// describe where the table's columns land in the operator's row.
 struct ScanSpec {
   txn::MvccManager* mvcc = nullptr;          ///< null = no MVCC checks
   const txn::Snapshot* snapshot = nullptr;   ///< null = no MVCC checks
   size_t offset = 0;
   size_t wide_width = 0;
   /// Local column ids (0-based within the table, ascending) the consumer
-  /// will actually read; every engine materializes only these and leaves
-  /// the rest of the table's positions NULL. Empty optional = every column.
+  /// will actually read; every engine materializes only these, the k-th at
+  /// `offset + k` (DecodeRowInto's rule). Empty optional = every column,
+  /// column c at `offset + c`.
   std::optional<std::vector<size_t>> needed_cols;
   /// Local column ids referenced by the scan's filter predicates (subset of
   /// needed_cols); a columnar engine charges these as its "scan" columns.
@@ -74,8 +75,8 @@ struct ScanSpec {
 };
 
 /// Pull-based batch scan over one table, produced by a StorageEngine. The
-/// cursor appends fully padded wide rows (the spec's needed columns at
-/// `offset`, Nulls elsewhere) to the caller's RowBatch and owns all position
+/// cursor appends fully padded rows of `wide_width` values (the spec's
+/// needed columns from `offset`, Nulls elsewhere) to the caller's RowBatch and owns all position
 /// state.
 class ScanCursor {
  public:

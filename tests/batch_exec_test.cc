@@ -15,6 +15,7 @@
 #include "common/sim_clock.h"
 #include "common/str_util.h"
 #include "rdbms/db.h"
+#include "rdbms/exec/join_table.h"
 
 namespace r3 {
 namespace rdbms {
@@ -537,6 +538,32 @@ TEST(ProjectedDecodeTest, ColumnarEngine) {
   EXPECT_NE(plan.find("ColumnarScan(ord"), std::string::npos) << plan;
 }
 
+// On the compact layout CUST.name sits at row position 0 but is table
+// column 1. The columnar scan maps the filter's position back to the table
+// column, so the dictionary-equality pushdown engages: a literal absent
+// from the dictionary reads dictionaries only, and a present one scans
+// every chunk. Mapping position 0 to column 0 (the INT key) would disable
+// the pushdown and charge both the same chunk bytes.
+TEST(ProjectedDecodeTest, ColumnarDictionaryPushdownOnCompactPositions) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "columnar");
+  auto sim_us = [&](const std::string& sql, size_t* rows) {
+    const int64_t t0 = db->clock()->NowMicros();
+    auto res = db->Query(sql);
+    EXPECT_TRUE(res.ok()) << sql << ": " << res.status().ToString();
+    *rows = res.ok() ? res.value().rows.size() : 0;
+    return db->clock()->NowMicros() - t0;
+  };
+  size_t present_rows = 0;
+  size_t absent_rows = 0;
+  const int64_t present =
+      sim_us("SELECT bal FROM cust WHERE name = 'Customer#7'", &present_rows);
+  const int64_t absent =
+      sim_us("SELECT bal FROM cust WHERE name = 'Customer#x'", &absent_rows);
+  EXPECT_EQ(present_rows, 1u);
+  EXPECT_EQ(absent_rows, 0u);
+  EXPECT_LT(absent, present);
+}
+
 Cursor OpenCursorOn(Database* db, const std::string& sql) {
   auto stmt = db->Prepare(sql);
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
@@ -610,6 +637,269 @@ TEST(ProjectedDecodeTest, MvccCursorSeesAltVersionsAndGhosts) {
   auto now = db->Query("SELECT COUNT(*)" + where);
   ASSERT_TRUE(now.ok()) << now.status().ToString();
   EXPECT_EQ(now.value().rows[0][0].AsInt(), 48);
+}
+
+// ---------------------------------------------------------------------------
+// The flat hash-join table
+// ---------------------------------------------------------------------------
+
+TEST(JoinTableTest, ChainsKeepInsertionOrderThroughGrowth) {
+  JoinTable table;
+  table.Reset(/*width=*/2, /*est_rows=*/0);  // minimum slots: must grow
+  EXPECT_EQ(table.Find("absent"), JoinTable::kEnd);
+  for (int64_t i = 0; i < 3000; ++i) {
+    Row packed{Value::Int(i), Value::Str("v" + std::to_string(i))};
+    table.Insert("key" + std::to_string(i % 700), packed.data());
+    EXPECT_TRUE(packed[1].string_value().empty());  // moved, not copied
+  }
+  EXPECT_EQ(table.num_rows(), 3000u);
+  EXPECT_EQ(table.num_keys(), 700u);
+  for (int64_t k = 0; k < 700; ++k) {
+    std::vector<int64_t> got;
+    for (uint32_t r = table.Find("key" + std::to_string(k));
+         r != JoinTable::kEnd; r = table.Next(r)) {
+      got.push_back(table.RowValues(r)[0].AsInt());
+      EXPECT_EQ(table.RowValues(r)[1].string_value(),
+                "v" + std::to_string(got.back()));
+    }
+    std::vector<int64_t> want;
+    for (int64_t i = k; i < 3000; i += 700) want.push_back(i);
+    ASSERT_EQ(got, want) << "key" << k;
+  }
+  EXPECT_EQ(table.Find("key700"), JoinTable::kEnd);
+  // A key that differs only past an embedded NUL is its own key.
+  Row a{Value::Int(-1), Value::Null()};
+  table.Insert(std::string("key1\0x", 6), a.data());
+  EXPECT_EQ(table.RowValues(table.Find(std::string("key1\0x", 6)))[0].AsInt(),
+            -1);
+  table.Release();
+  EXPECT_EQ(table.num_rows(), 0u);
+  EXPECT_EQ(table.Find("key1"), JoinTable::kEnd);
+  table.Reset(0, 5);  // zero-width rows: a semi-join's build
+  Row none;
+  table.Insert("k", none.data());
+  table.Insert("k", none.data());
+  const uint32_t first = table.Find("k");
+  ASSERT_NE(first, JoinTable::kEnd);
+  EXPECT_NE(table.Next(first), JoinTable::kEnd);
+}
+
+// PR (probe) is the cheaper table, so it drives and BLD is the hash build.
+// Neither has an index, so every equi join below is a hash join. BLD repeats
+// each key and carries NULL keys; PR has a NULL key and a key (7) BLD lacks.
+std::unique_ptr<Database> MakeHashJoinDb(DatabaseOptions opts) {
+  auto db = std::make_unique<Database>(nullptr, opts);
+  Status st = db->Execute("CREATE TABLE pr (tag CHAR(4), pad CHAR(30), k INT)");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  st = db->Execute(
+      "CREATE TABLE bld (seq INT, note VARCHAR, k INT, amt DECIMAL)");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  st = db->Execute("CREATE TABLE empty_bld (k INT, seq INT)");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  const int64_t probe_keys[] = {3, -1, 0, 7, 3};  // -1 stands for NULL
+  for (int64_t i = 0; i < 5; ++i) {
+    const int64_t k = probe_keys[i];
+    st = db->InsertRow("pr", Row{Value::Str("p" + std::to_string(i)),
+                                 Value::Str("x"),
+                                 k < 0 ? Value::Null() : Value::Int(k)});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  for (int64_t i = 0; i < 60; ++i) {
+    st = db->InsertRow(
+        "bld", Row{Value::Int(i), Value::Str("note " + std::to_string(i)),
+                   i % 6 == 5 ? Value::Null() : Value::Int((i * 7) % 5),
+                   Value::Decimal(static_cast<double>(i) / 4.0)});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  st = db->Analyze();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return db;
+}
+
+/// The rows `SELECT pr.tag, bld.seq FROM pr [LEFT OUTER] JOIN bld ON
+/// pr.k = bld.k` must produce: PR in heap order, each row's matches in
+/// BLD's insertion order; with `outer`, a NULL-extended row for a PR row
+/// without matches.
+std::vector<std::string> ExpectedHashJoinRows(bool outer) {
+  const int64_t probe_keys[] = {3, -1, 0, 7, 3};
+  std::vector<std::string> out;
+  for (int64_t p = 0; p < 5; ++p) {
+    bool matched = false;
+    for (int64_t i = 0; i < 60; ++i) {
+      if (i % 6 == 5 || probe_keys[p] < 0 || (i * 7) % 5 != probe_keys[p]) {
+        continue;
+      }
+      out.push_back("p" + std::to_string(p) + "|" + std::to_string(i) + "|");
+      matched = true;
+    }
+    if (outer && !matched) out.push_back("p" + std::to_string(p) + "|NULL|");
+  }
+  return out;
+}
+
+std::vector<std::string> QueryRows(Database* db, const std::string& sql) {
+  auto res = db->Query(sql);
+  EXPECT_TRUE(res.ok()) << sql << ": " << res.status().ToString();
+  return res.ok() ? RowStrings(res.value()) : std::vector<std::string>{};
+}
+
+TEST(HashJoinTableTest, DuplicateKeysKeepBuildOrderAndNullKeysNeverMatch) {
+  auto db = MakeHashJoinDb(DatabaseOptions());
+  const std::string sql =
+      "SELECT pr.tag, bld.seq FROM pr, bld WHERE pr.k = bld.k";
+  auto plan = db->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan.value().find("HashJoin(col#5=col#2)\n    SeqScan(bld)"),
+            std::string::npos)
+      << plan.value();
+  EXPECT_EQ(QueryRows(db.get(), sql), ExpectedHashJoinRows(false));
+}
+
+TEST(HashJoinTableTest, LeftOuterJoinNullExtendsItsBuildSide) {
+  auto db = MakeHashJoinDb(DatabaseOptions());
+  const std::string sql =
+      "SELECT pr.tag, bld.seq FROM pr LEFT OUTER JOIN bld ON pr.k = bld.k";
+  auto plan = db->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan.value().find("HashLeftOuterJoin("), std::string::npos)
+      << plan.value();
+  // The NULL-key probe row and the key-7 row come back NULL-extended.
+  EXPECT_EQ(QueryRows(db.get(), sql), ExpectedHashJoinRows(true));
+}
+
+TEST(HashJoinTableTest, EmptyBuild) {
+  auto db = MakeHashJoinDb(DatabaseOptions());
+  const std::string sql =
+      "SELECT pr.tag, empty_bld.seq FROM pr LEFT OUTER JOIN empty_bld "
+      "ON pr.k = empty_bld.k";
+  auto plan = db->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan.value().find("HashLeftOuterJoin(col#3=col#2)\n"
+                              "    SeqScan(empty_bld)"),
+            std::string::npos)
+      << plan.value();
+  EXPECT_EQ(QueryRows(db.get(), sql),
+            (std::vector<std::string>{"p0|NULL|", "p1|NULL|", "p2|NULL|",
+                                      "p3|NULL|", "p4|NULL|"}));
+  EXPECT_TRUE(QueryRows(db.get(),
+                        "SELECT pr.tag FROM pr, empty_bld "
+                        "WHERE pr.k = empty_bld.k")
+                  .empty());
+}
+
+TEST(HashJoinTableTest, CachedPlanReopenedAfterCloseGivesIdenticalRows) {
+  auto db = MakeHashJoinDb(DatabaseOptions());
+  const std::string sql =
+      "SELECT pr.tag, bld.seq, bld.note FROM pr, bld WHERE pr.k = bld.k";
+  auto stmt = db->Prepare(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::vector<std::string> first;
+  for (int run = 0; run < 3; ++run) {
+    // A cursor closed early (one batch) must not leak into the next run.
+    auto cur = db->OpenCursor(stmt.value(), {});
+    ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+    std::vector<std::string> rows =
+        FetchProjected(&cur.value(), {0, 1, 2}, 4, run == 1 ? 1 : 0);
+    ASSERT_OK(cur.value().Close());
+    if (run == 0) {
+      first = rows;
+      EXPECT_EQ(first.size(), ExpectedHashJoinRows(false).size());
+    } else if (run == 2) {
+      EXPECT_EQ(rows, first);
+    }
+  }
+  EXPECT_EQ(QueryRows(db.get(), sql), first);  // through the plan cache
+}
+
+TEST(HashJoinTableTest, PartitionedBuildAtDop4MatchesDop1RowForRow) {
+  DatabaseOptions serial_opts;
+  DatabaseOptions parallel_opts;
+  parallel_opts.planner.dop = 4;
+  auto serial = MakeProjectionDb(serial_opts, "");
+  auto parallel = MakeProjectionDb(parallel_opts, "");
+  // ORD, the build side, repeats every customer key across many morsels.
+  for (const char* sql :
+       {"SELECT cust.name, ord.ok, ord.prio FROM cust, ord "
+        "WHERE cust.ck = ord.ck AND cust.nation = 2",
+        "SELECT cust.ck, ord.comment, ord.total FROM cust, ord "
+        "WHERE cust.ck = ord.ck AND cust.nation < 10 AND "
+        "ord.total + cust.bal > 1000.0"}) {
+    auto plan = parallel->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan.value().find("ParallelSeqScan(ord"), std::string::npos)
+        << plan.value();
+    std::vector<std::string> want = QueryRows(serial.get(), sql);
+    EXPECT_FALSE(want.empty()) << sql;
+    EXPECT_EQ(QueryRows(parallel.get(), sql), want) << sql;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compact row layout: NULL sides and correlated subqueries
+// ---------------------------------------------------------------------------
+
+TEST(CompactLayoutTest, IndexNestedLoopsOuterJoinNullSide) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  ASSERT_OK(db->Execute("CREATE INDEX ord_ck ON ord (ck)"));
+  ASSERT_OK(db->Analyze());
+  const std::string from =
+      " FROM cust LEFT OUTER JOIN ord ON cust.ck = ord.ck AND "
+      "ord.total > 900.0 WHERE cust.ck BETWEEN 246 AND 251";
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(), "SELECT ord.comment, cust.name, ord.total" + from,
+      "SELECT *" + from, {9, 1, 10});
+  EXPECT_NE(plan.find("IndexNLOuterJoin(ord"), std::string::npos) << plan;
+  // Customers 250 and 251 place no orders at all.
+  auto nulls = db->Query("SELECT cust.ck" + from + " AND ord.ok IS NULL");
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  std::vector<std::string> got = RowStrings(nulls.value());
+  EXPECT_NE(std::find(got.begin(), got.end(), "250|"), got.end());
+  EXPECT_NE(std::find(got.begin(), got.end(), "251|"), got.end());
+}
+
+TEST(CompactLayoutTest, HashOuterJoinNullSideInTheMiddleOfTheRow) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  ASSERT_OK(db->Execute(
+      "CREATE TABLE nat (nk INT, nname CHAR(12), region INT)"));
+  for (int64_t n = 0; n < 25; ++n) {
+    ASSERT_OK(db->InsertRow("nat", Row{Value::Int(n),
+                                       Value::Str("N" + std::to_string(n)),
+                                       Value::Int(n % 5)}));
+  }
+  ASSERT_OK(db->Analyze());
+  // Layout order is FROM order: cust, ord (the NULL side), nat.
+  const std::string from =
+      " FROM cust LEFT OUTER JOIN ord ON cust.ck = ord.ck AND "
+      "ord.total > 900.0 JOIN nat ON nat.nk = cust.nation "
+      "WHERE nat.region = 1";
+  std::string plan = ExpectProjectionMatchesStar(
+      db.get(), "SELECT nat.nname, ord.odate, cust.bal, ord.prio" + from,
+      "SELECT *" + from, {12, 7, 4, 8});
+  EXPECT_NE(plan.find("HashLeftOuterJoin("), std::string::npos) << plan;
+}
+
+// The outer level has a subquery, so it keeps the full-width layout its
+// outer reference (outer#1 = ord.ck) addresses; the subquery's own level
+// is compact (cust.ck, cust.bal at positions 0 and 1, not 0 and 4).
+TEST(CompactLayoutTest, CorrelatedSubqueryCompactUnderFullWidthOuter) {
+  auto db = MakeProjectionDb(DatabaseOptions(), "");
+  const std::string sql =
+      "SELECT ord.ok, ord.total FROM ord WHERE ord.total < "
+      "(SELECT MAX(cust.bal) FROM cust WHERE cust.ck = ord.ck)";
+  auto got = db->Query(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto custs = db->Query("SELECT * FROM cust");
+  auto ords = db->Query("SELECT * FROM ord");
+  ASSERT_TRUE(custs.ok() && ords.ok());
+  std::vector<Value> bal_of(300);
+  for (const Row& c : custs.value().rows) bal_of[c[0].AsInt()] = c[4];
+  QueryResult want;
+  for (const Row& o : ords.value().rows) {
+    const Value& bal = bal_of[o[1].AsInt()];
+    if (o[5].Compare(bal) < 0) want.rows.push_back(Row{o[0], o[5]});
+  }
+  EXPECT_FALSE(want.rows.empty());
+  EXPECT_EQ(RowStrings(got.value()), RowStrings(want));
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "rdbms/index/key_codec.h"
 #include "rdbms/row.h"
 
@@ -110,13 +113,14 @@ TEST(RowCodecTest, ProjectedDecodeWritesOnlyItsColumns) {
                                Value::Null(DataType::kString), Value::Int(-3)},
                            &bytes)
                   .ok());
-  // Wide row: two foreign positions, then the table at offset 2.
+  // Two foreign positions, then the table at offset 2. A projection packs
+  // its columns densely: the k-th projected column lands at offset + k.
   Row wide(6, Value::Str("untouched"));
   ASSERT_TRUE(DecodeRowInto(s, bytes, std::vector<size_t>{1, 2}, 2, &wide)
                   .ok());
   EXPECT_EQ(RowToString(wide),
-            "(untouched, untouched, untouched, hi, NULL, untouched)");
-  EXPECT_EQ(wide[4].type(), DataType::kString);  // typed NULL, as decoded
+            "(untouched, untouched, hi, NULL, untouched, untouched)");
+  EXPECT_EQ(wide[3].type(), DataType::kString);  // typed NULL, as decoded
   // No projection decodes every column.
   ASSERT_TRUE(DecodeRowInto(s, bytes, std::nullopt, 2, &wide).ok());
   EXPECT_EQ(RowToString(wide), "(untouched, untouched, 7, hi, NULL, -3)");
@@ -147,6 +151,49 @@ TEST(RowCodecTest, ProjectedDecodeStillRejectsMalformedRecords) {
   EXPECT_FALSE(DecodeRowInto(s, bytes + "x", first_only, 0, &wide).ok());
   EXPECT_FALSE(
       DecodeRowInto(s, bytes + "x", std::vector<size_t>{}, 0, &wide).ok());
+}
+
+// The key codec's bytes are an on-disk and in-memory contract (B-tree
+// keys, join and group keys), so the word-at-a-time encoder must produce
+// exactly the bytes of the byte-at-a-time encoder it replaced. These hex
+// strings were produced by that encoder.
+TEST(KeyCodecTest, EncodingBytesArePinned) {
+  auto hex = [](const Value& v) {
+    std::string key;
+    key_codec::EncodeValue(v, &key);
+    std::string out;
+    for (unsigned char c : key) out += str::Format("%02x", c);
+    return out;
+  };
+  EXPECT_EQ(hex(Value::Null()), "00");
+  EXPECT_EQ(hex(Value::Null(DataType::kString)), "00");
+  EXPECT_EQ(hex(Value::Int(0)), "018000000000000000");
+  EXPECT_EQ(hex(Value::Int(-1)), "017fffffffffffffff");
+  EXPECT_EQ(hex(Value::Int(-123456789012LL)), "017fffffe34166e5ec");
+  EXPECT_EQ(hex(Value::Int(INT64_MIN)), "010000000000000000");
+  EXPECT_EQ(hex(Value::Int(INT64_MAX)), "01ffffffffffffffff");
+  EXPECT_EQ(hex(Value::DecimalFromCents(-12345)), "017fffffffffffcfc7");
+  EXPECT_EQ(hex(Value::DecimalFromCents(99)), "018000000000000063");
+  EXPECT_EQ(hex(Value::Date(-1)), "017fffffffffffffff");
+  EXPECT_EQ(hex(Value::Date(9000)), "018000000000002328");
+  EXPECT_EQ(hex(Value::Dbl(0.0)), "018000000000000000");
+  EXPECT_EQ(hex(Value::Dbl(-0.0)), "017fffffffffffffff");
+  EXPECT_EQ(hex(Value::Dbl(-2.5)), "013ffbffffffffffff");
+  EXPECT_EQ(hex(Value::Dbl(3.25)), "01c00a000000000000");
+  EXPECT_EQ(hex(Value::Dbl(-std::numeric_limits<double>::infinity())),
+            "01000fffffffffffff");
+  EXPECT_EQ(hex(Value::Bool(true)), "0101");
+  EXPECT_EQ(hex(Value::Bool(false)), "0100");
+  EXPECT_EQ(hex(Value::Str("")), "010000");
+  EXPECT_EQ(hex(Value::Str("abc")), "016162630000");
+  EXPECT_EQ(hex(Value::Str(std::string("a\0b", 3))), "016100ff620000");
+  EXPECT_EQ(hex(Value::Str(std::string("\0\0", 2))), "0100ff00ff0000");
+  EXPECT_EQ(hex(Value::Str(std::string("\0x\0", 3))), "0100ff7800ff0000");
+  EXPECT_EQ(hex(Value::Str(std::string("\xff\0\x01", 3))), "01ff00ff010000");
+  // Values append: a composite key is the concatenation.
+  const Value nul_str = Value::Str(std::string("a\0b", 3));
+  EXPECT_EQ(key_codec::Encode(std::vector<Value>{Value::Int(-1), nul_str}),
+            key_codec::Encode(Value::Int(-1)) + key_codec::Encode(nul_str));
 }
 
 TEST(RowCodecTest, Int4WidthRoundTripsNegatives) {

@@ -176,6 +176,46 @@ TEST_F(PlanTest, ParameterizedAndLiteralPlansDiffer) {
   EXPECT_NE(lit, par);
 }
 
+// A subquery-free level runs on the compact row layout: each table's needed
+// columns, contiguous. EXPLAIN still renders the binder's wide-row
+// positions, byte for byte as before the layout changed (small = 0..1,
+// mid = 2..5, big = 6..9).
+class CompactLayoutPlanTest : public PlanTest {
+ protected:
+  void SetUp() override {
+    PlanTest::SetUp();
+    ASSERT_OK(db_->Execute(
+        "CREATE TABLE mid (mk INT, note CHAR(20), sid INT, amt DECIMAL)"));
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_OK(db_->InsertRow(
+          "mid", Row{Value::Int(i), Value::Str("m"), Value::Int(i % 10),
+                     Value::Decimal(static_cast<double>(i) * 1.5)}));
+    }
+    ASSERT_OK(db_->Execute("ANALYZE"));
+  }
+};
+
+TEST_F(CompactLayoutPlanTest, ThreeTableJoinExplainKeepsBinderPositions) {
+  const std::string sql =
+      "SELECT s.name, m.amt, b.pad FROM small s, mid m, big b "
+      "WHERE m.sid = s.id AND b.val = m.mk AND s.name <> 'n3'";
+  EXPECT_EQ(Plan(sql),
+            "Project(col#1, col#5, col#9)\n"
+            "  HashJoin(col#8=col#2)\n"
+            "    SeqScan(big)\n"
+            "    HashJoin(col#4=col#0)\n"
+            "      SeqScan(mid)\n"
+            "      SeqScan(small, (col#1 <> 'n3'))");
+  auto rows = db_->Query(sql);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().rows.size(), 1350u);
+  for (const Row& r : rows.value().rows) {
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_NE(r[0].string_value(), "n3");
+    EXPECT_EQ(r[2].string_value(), "p");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Statistics lifecycle
 // ---------------------------------------------------------------------------
